@@ -8,7 +8,6 @@ from .classify import (
     check_palfy,
     check_solvable_shape,
     classify_f,
-    k4free_vertex_bound,
     scan_counterexamples,
     scan_lemma_evenfive,
     scan_lemma_interest,
@@ -16,22 +15,7 @@ from .classify import (
     synthetic_radical,
     verify_main,
 )
-from .degrees import (
-    CliffordScenario,
-    FrobeniusConstraint,
-    GroupModel,
-    cd_direct_product,
-    cd_of,
-    cd_psl2,
-    frobenius_case_degrees,
-    graph_psl2,
-    guaranteed_degrees_almost_simple,
-    k3_group_primes,
-    k3_group_table,
-    pgl2_case_divisor,
-    prime_power,
-    special_case_degrees,
-)
+from .degrees import cd_psl2, graph_psl2, prime_power
 from .graphs import (
     CharGraph,
     DegreeSet,

@@ -194,11 +194,6 @@ def prime_divisors(n: int) -> set[int]:
     return set(factorize(n).primes)
 
 
-def multiplicative_order_divides(base: int, k: int, p: int) -> bool:
-    """True iff base^k = 1 (mod p)."""
-    return pow(base, k, p) == 1
-
-
 def zsigmondy(base: int, n: int) -> int | None:
     """Smallest prime dividing base^n - 1 but no base^k - 1 with k < n.
 
@@ -216,6 +211,6 @@ def zsigmondy(base: int, n: int) -> int | None:
     for p in factorize(value).primes if value > 1 else ():
         # p is primitive iff the order of base mod p is exactly n, i.e. no
         # maximal proper divisor n/r of n already kills it.
-        if all(not multiplicative_order_divides(base, n // r, p) for r in exponent_primes):
+        if all(pow(base, n // r, p) != 1 for r in exponent_primes):
             return p
     return None

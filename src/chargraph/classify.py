@@ -3,7 +3,7 @@ graphs, plus the enumeration scanners and solvable-graph validators.
 
 A group with such a graph is a direct product of PSL2(2^f) with a solvable
 radical, and the prime-divisor counts of 2^f -+ 1 decide which of three
-graph shapes occurs.  verify_main rebuilds the product degree set from a
+graph shapes occurs.  verify_main builds the graph of PSL2(2^f) times a
 radical model and confirms the predicted shape edge for edge.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .arith import factorize, is_prime, prime_divisors
-from .degrees import GroupModel, cd_direct_product, graph_psl2, prime_power
+from .degrees import cd_psl2, graph_psl2, prime_power
 from .graphs import (
     CharGraph,
     DegreeSet,
@@ -75,25 +75,16 @@ class CaseReport:
             "product_graph": self.product_graph.to_json() if self.product_graph else None,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CaseReport":
-        shape = data["expected_shape"]
-        product = data["product_graph"]
-        return cls(
-            f=data["f"],
-            sizes=tuple(data["sizes"]),
-            case=data["case"],
-            socle_graph=CharGraph.from_json(data["socle_graph"]),
-            required_radical=data["required_radical"],
-            expected_shape=parse_shape(shape) if shape else None,
-            verified=data["verified"],
-            product_graph=CharGraph.from_json(product) if product else None,
-        )
-
 
 def _check_f(f: int) -> None:
     if not 2 <= f <= F_MAX:
         raise ValueError(f"f must be in [2, {F_MAX}], got {f}")
+
+
+def _sizes(f: int) -> tuple[int, int]:
+    """(|pi(2^f - 1)|, |pi(2^f + 1)|), the counts that pick the case."""
+    q = 2**f
+    return len(prime_divisors(q - 1)), len(prime_divisors(q + 1))
 
 
 def classify_f(f: int) -> CaseReport:
@@ -103,14 +94,13 @@ def classify_f(f: int) -> CaseReport:
     counts included) is no case.
     """
     _check_f(f)
-    q = 2**f
-    sizes = (len(prime_divisors(q - 1)), len(prime_divisors(q + 1)))
+    sizes = _sizes(f)
     case = {(1, 1): "I", (2, 2): "II", (3, 3): "III"}.get(sizes)
     return CaseReport(
         f=f,
         sizes=sizes,
         case=case,
-        socle_graph=graph_psl2(q),
+        socle_graph=graph_psl2(2**f),
         required_radical=_RADICAL_NOTES[case],
         expected_shape=parse_shape(CASE_SHAPES[case]) if case else None,
     )
@@ -150,14 +140,10 @@ def verify_main(f: int, radical: list[DegreeSet]) -> CaseReport:
     report = classify_f(f)
     if report.case is None:
         raise ValueError(f"f = {f} has sizes {report.sizes}; no case applies")
-    q = 2**f
-    socle_primes = {2} | prime_divisors(q - 1) | prime_divisors(q + 1)
-    failures = _validate_radical(report.case, socle_primes, radical)
+    failures = _validate_radical(report.case, set(report.socle_graph.vertices), radical)
     if failures:
         raise RadicalValidationError(failures)
-    models = [GroupModel.psl2(2, f)] + [GroupModel.solvable(ds) for ds in radical]
-    cd = cd_direct_product(models)
-    delta = graph_from_cd(cd)
+    delta = graph_from_cd(cd_psl2(2**f), *radical)
     expected = eval_shape(report.expected_shape)
     ok = (
         delta.vertex_count == 7
@@ -178,8 +164,7 @@ def synthetic_radical(f: int) -> list[DegreeSet]:
         raise ValueError(f"f = {f} has sizes {report.sizes}; no case applies")
     if report.case == "III":
         return []
-    q = 2**f
-    socle_primes = {2} | prime_divisors(q - 1) | prime_divisors(q + 1)
+    socle_primes = set(report.socle_graph.vertices)
     needed = 4 if report.case == "I" else 2
     fresh: list[int] = []
     candidate = 3
@@ -194,97 +179,79 @@ def synthetic_radical(f: int) -> list[DegreeSet]:
 
 
 @dataclass(frozen=True)
-class InterestHit:
-    """An f whose PSL2(2^f) graph has four vertices, with its clause."""
+class ScanHit:
+    """One hit of a lemma scanner.
 
-    f: int
-    sizes: tuple[int, int]
-    clause: str | None  # "a", "b", or None for a counterexample
-    witness: str
+    key is the scanned value (f, or q for oddfour); clause is the lemma
+    clause the hit fits ("ok" for evenfive, whose lemma has one), None for
+    a counterexample; detail is the witness or reason shown in the table;
+    fields is the hit's JSON object.
+    """
 
-    def to_json(self) -> dict:
-        return {"f": self.f, "sizes": list(self.sizes), "clause": self.clause, "witness": self.witness}
-
-
-@dataclass(frozen=True)
-class EvenFiveHit:
-    """An f with both prime-divisor counts equal to 2."""
-
-    f: int
-    conforming: bool
-    reason: str
+    key: int
+    clause: str | None
+    detail: str
+    fields: dict
 
     def to_json(self) -> dict:
-        return {"f": self.f, "conforming": self.conforming, "reason": self.reason}
+        return self.fields
 
 
-@dataclass(frozen=True)
-class OddFourHit:
-    """An odd prime power q = p^f with exactly three primes in q^2 - 1."""
-
-    q: int
-    p: int
-    f: int
-    clause: str | None  # "a", "b", "c", or None for a counterexample
-
-    def to_json(self) -> dict:
-        return {"q": self.q, "p": self.p, "f": self.f, "clause": self.clause}
-
-
-def scan_lemma_interest(f_max: int) -> list[InterestHit]:
+def scan_lemma_interest(f_max: int) -> list[ScanHit]:
     """All f in [2, f_max] whose counts sum to 3, classified as f = 4 or as
     (f prime >= 5, 2^f - 1 prime, 2^f + 1 = 3 t^beta with beta odd).
     Anything else is flagged as a counterexample.
     """
     if not 2 <= f_max <= F_MAX:
         raise ValueError(f"f_max must be in [2, {F_MAX}]")
-    hits: list[InterestHit] = []
+    hits: list[ScanHit] = []
     for f in range(2, f_max + 1):
         q = 2**f
-        sizes = (len(prime_divisors(q - 1)), len(prime_divisors(q + 1)))
+        sizes = _sizes(f)
         if sizes[0] + sizes[1] != 3:
             continue
-        if f == 4:
-            hits.append(InterestHit(f, sizes, "a", "2^4 - 1 = 3 * 5 and 2^4 + 1 = 17"))
-            continue
         clause, witness = None, f"no clause fits sizes {sizes}"
-        if is_prime(f) and f >= 5 and is_prime(q - 1):
+        if f == 4:
+            clause, witness = "a", "2^4 - 1 = 3 * 5 and 2^4 + 1 = 17"
+        elif is_prime(f) and f >= 5 and is_prime(q - 1):
             plus = factorize(q + 1).as_dict()
             others = sorted(p for p in plus if p != 3)
             if plus.get(3) == 1 and len(others) == 1 and plus[others[0]] % 2 == 1:
                 t, beta = others[0], plus[others[0]]
                 clause = "b"
                 witness = f"2^{f} - 1 = {q - 1} prime; 2^{f} + 1 = 3 * {t}^{beta}"
-        hits.append(InterestHit(f, sizes, clause, witness))
+        fields = {"f": f, "sizes": list(sizes), "clause": clause, "witness": witness}
+        hits.append(ScanHit(f, clause, witness, fields))
     return hits
 
 
-def scan_lemma_evenfive(f_max: int) -> list[EvenFiveHit]:
+def scan_lemma_evenfive(f_max: int) -> list[ScanHit]:
     """All f in [2, f_max] with both counts 2; conforming iff f is prime or
     f is 6 or 9."""
     if not 2 <= f_max <= F_MAX:
         raise ValueError(f"f_max must be in [2, {F_MAX}]")
-    hits: list[EvenFiveHit] = []
+    hits: list[ScanHit] = []
     for f in range(2, f_max + 1):
-        q = 2**f
-        if len(prime_divisors(q - 1)) != 2 or len(prime_divisors(q + 1)) != 2:
+        if _sizes(f) != (2, 2):
             continue
         if f in (6, 9):
-            hits.append(EvenFiveHit(f, True, f"f = {f}"))
+            clause, reason = "ok", f"f = {f}"
         elif is_prime(f):
-            hits.append(EvenFiveHit(f, True, "f prime"))
+            clause, reason = "ok", "f prime"
         else:
-            hits.append(EvenFiveHit(f, False, "f composite and not 6 or 9"))
+            clause, reason = None, "f composite and not 6 or 9"
+        fields = {"f": f, "conforming": clause is not None, "reason": reason}
+        hits.append(ScanHit(f, clause, reason, fields))
     return hits
 
 
-def scan_lemma_oddfour(q_max: int) -> list[OddFourHit]:
+def scan_lemma_oddfour(q_max: int) -> list[ScanHit]:
     """All odd prime powers q <= q_max with exactly 3 primes dividing
     q^2 - 1, assigned to q in {25, 49, 81}, (p = 3, f an odd prime), or
     (p >= 11, f = 1)."""
     if not 3 <= q_max <= Q_ODD_MAX:
         raise ValueError(f"q_max must be in [3, {Q_ODD_MAX}]")
-    hits: list[OddFourHit] = []
+    hits: list[ScanHit] = []
     for q in range(3, q_max + 1, 2):
         pf = prime_power(q)
         if pf is None:
@@ -300,25 +267,22 @@ def scan_lemma_oddfour(q_max: int) -> list[OddFourHit]:
             clause = "c"
         else:
             clause = None
-        hits.append(OddFourHit(q, p, f, clause))
+        hits.append(ScanHit(q, clause, "", {"q": q, "p": p, "f": f, "clause": clause}))
     return hits
 
 
-def scan_counterexamples(hits) -> list:
+def scan_counterexamples(hits: list[ScanHit]) -> list[ScanHit]:
     """The hits a scanner could not assign to any clause."""
-    out = []
-    for h in hits:
-        if isinstance(h, EvenFiveHit):
-            if not h.conforming:
-                out.append(h)
-        elif h.clause is None:
-            out.append(h)
-    return out
+    return [h for h in hits if h.clause is None]
 
 
 def check_palfy(g: CharGraph) -> bool:
     """Necessary condition for the graph of a solvable group: among any
-    three vertices, two are adjacent (the complement is triangle-free)."""
+    three vertices, two are adjacent (the complement is triangle-free).
+
+    Unlike graphs.odd_cycle_triples, which lists every such triple, this
+    stops at the first: an edgeless graph on n primes has C(n, 3) of them.
+    """
     for t in combinations(g.vertices, 3):
         if not any(g.has_edge(a, b) for a, b in combinations(t, 2)):
             return False
@@ -334,14 +298,3 @@ def check_solvable_shape(g: CharGraph) -> bool:
         return True
     four_cycle = CharGraph([2, 3, 5, 7], [(2, 3), (3, 5), (5, 7), (2, 7)])
     return are_isomorphic(g, four_cycle) is not None
-
-
-def k4free_vertex_bound(g: CharGraph) -> str | None:
-    """Warn when a K4-free graph has more than seven vertices: no character
-    graph can look like that.  Returns the warning text, or None."""
-    if g.vertex_count > 7 and is_kn_free(g, 4):
-        return (
-            f"K4-free graph on {g.vertex_count} > 7 vertices: "
-            "not realizable as a character graph"
-        )
-    return None

@@ -55,12 +55,14 @@ def load_graph_argument(arg: str) -> CharGraph:
     return eval_shape(parse_shape(arg))
 
 
+def degree_set_from_json(data) -> DegreeSet:
+    """A degree set given as a JSON list or as {"degrees": [...]}."""
+    return DegreeSet(data) if isinstance(data, list) else DegreeSet.from_json(data)
+
+
 def load_degree_set(path: str) -> DegreeSet:
     with open(path) as fh:
-        data = json.load(fh)
-    if isinstance(data, list):
-        return DegreeSet(data)
-    return DegreeSet.from_json(data)
+        return degree_set_from_json(json.load(fh))
 
 
 def load_radical(path: str) -> list[DegreeSet]:
@@ -68,10 +70,7 @@ def load_radical(path: str) -> list[DegreeSet]:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("radical file must hold a JSON list of degree sets")
-    out = []
-    for entry in data:
-        out.append(DegreeSet(entry) if isinstance(entry, list) else DegreeSet.from_json(entry))
-    return out
+    return [degree_set_from_json(entry) for entry in data]
 
 
 def cmd_factor(args) -> int:
@@ -179,11 +178,7 @@ def cmd_scan(args) -> int:
         }))
     else:
         for h in hits:
-            row = h.to_json()
-            key = row.get("f", row.get("q"))
-            detail = row.get("witness") or row.get("reason") or ""
-            tag = row.get("clause") or ("ok" if row.get("conforming") else "COUNTEREXAMPLE")
-            print(f"{key:>6}  {tag:<16} {detail}".rstrip())
+            print(f"{h.key:>6}  {h.clause or 'COUNTEREXAMPLE':<16} {h.detail}".rstrip())
         print(f"{len(hits)} hit(s), {len(bad)} counterexample(s)")
     return 1 if bad else 0
 

@@ -1,20 +1,17 @@
-"""Degree-set models: PSL2(q) degrees and graphs, guaranteed degrees of
-almost-simple extensions, inertia-index degree formulas, direct products,
-and the table of simple groups with exactly three order primes.
+"""PSL2(q): its character degrees and its character graph.
 
 Two independent constructions of the PSL2(q) graph live here: one from the
-degree-set definition (via graphs.graph_from_cd) and one straight from the
-known component structure (graph_psl2).  Tests cross-check them.
+degree-set definition (graphs.graph_from_cd of cd_psl2) and one straight
+from the known component structure (graph_psl2).  Tests cross-check them
+for every prime power 4 <= q <= 20,000.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
 
-from .arith import factorize, is_prime, prime_divisors
-from .graphs import CharGraph, DegreeSet, graph_from_cd
+from .arith import factorize, prime_divisors
+from .graphs import CharGraph, DegreeSet
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -77,221 +74,3 @@ def graph_psl2(q: int) -> CharGraph:
     edges += list(combinations(m_part, 2))
     edges += list(combinations(p_part, 2))
     return CharGraph(verts, edges)
-
-
-def guaranteed_degrees_almost_simple(q: int, index: int) -> set[int]:
-    """Degrees (q-1)*index and (q+1)*index, guaranteed for any group between
-    PSL2(q) and its automorphism group, with index the part above PGL2.
-
-    Requires q = p^f with f >= 2, q >= 5 and q != 9.
-    """
-    pf = prime_power(q)
-    if pf is None or pf[1] < 2 or q < 5 or q == 9:
-        raise ValueError(f"q = {q} is outside the guaranteed-degree range")
-    if index < 1:
-        raise ValueError("index must be >= 1")
-    return {(q - 1) * index, (q + 1) * index}
-
-
-@dataclass(frozen=True)
-class FrobeniusConstraint:
-    """Divisibility facts about the degrees lying over a fixed character
-    when the inertia quotient is Frobenius with elementary abelian kernel.
-
-    Extendible case: the degree set is {theta_deg * [G:I], theta_deg * b}
-    with the inertia index left symbolic (``index_multiplier`` is the known
-    factor theta_deg) and second_degree_divisor dividing the second entry.
-    Non-extendible case: mandatory_divisor divides every degree.
-    """
-
-    extendible: bool
-    index_multiplier: int | None
-    second_degree_divisor: int | None
-    mandatory_divisor: int | None
-
-
-def frobenius_case_degrees(
-    q: int, p: int, theta_deg: int, extendible: bool
-) -> FrobeniusConstraint:
-    pf = prime_power(q)
-    if pf is None or pf[0] != p:
-        raise ValueError(f"q = {q} is not a power of p = {p}")
-    if theta_deg < 1:
-        raise ValueError("theta_deg must be >= 1")
-    if extendible:
-        divisor = theta_deg * (q * q - 1) // gcd(2, q - 1)
-        return FrobeniusConstraint(True, theta_deg, divisor, None)
-    return FrobeniusConstraint(False, None, None, p * (q + 1) * theta_deg)
-
-
-@dataclass(frozen=True)
-class CliffordScenario:
-    """Parameters for an inertia quotient PSL2(p^m) inside PSL2(p^f)."""
-
-    p: int
-    f: int
-    m: int
-    theta_deg: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.f < 1 or self.m < 1 or self.f % self.m != 0:
-            raise ValueError("m must be a positive divisor of f")
-        if self.theta_deg < 1:
-            raise ValueError("theta_deg must be >= 1")
-
-
-def clifford_index(p: int, f: int, m: int) -> int:
-    """[G:I] = p^(f-m) * (p^(2f) - 1) / (p^(2m) - 1); exact when m | f."""
-    return p ** (f - m) * (p ** (2 * f) - 1) // (p ** (2 * m) - 1)
-
-
-def special_case_degrees(s: CliffordScenario, strict: bool = True) -> set[int]:
-    """The two degrees theta_deg * (p^m -+ 1) * [G:I].
-
-    With strict=True the inertia-quotient range is enforced (m != f,
-    p^m >= 7, p^m != 9); strict=False evaluates the formula anyway for
-    out-of-range test inputs.
-    """
-    pm = s.p**s.m
-    if strict and (s.m == s.f or pm < 7 or pm == 9):
-        raise ValueError(f"p^m = {pm} (m = {s.m}, f = {s.f}) is outside the covered range")
-    idx = clifford_index(s.p, s.f, s.m)
-    return {s.theta_deg * (pm - 1) * idx, s.theta_deg * (pm + 1) * idx}
-
-
-def pgl2_case_divisor(p: int, f: int, m: int, theta_deg: int) -> int:
-    """Guaranteed divisor theta_deg * p^(f-m) * (p^f + 1) of some degree
-    when the inertia quotient is PGL2(p^m) with 2m | f and odd p^m > 3.
-
-    Only the divisor is determined; no closed form for the degree exists.
-    """
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if m < 1 or f % (2 * m) != 0:
-        raise ValueError("2m must divide f")
-    if p**m == 3:
-        raise ValueError("p^m = 3 is excluded")
-    if theta_deg < 1:
-        raise ValueError("theta_deg must be >= 1")
-    return theta_deg * p ** (f - m) * (p**f + 1)
-
-
-@dataclass(frozen=True)
-class GroupModel:
-    """A group known only through its character degrees.
-
-    Kinds: "psl2"/"pgl2" with q = p^f, "solvable" wrapping an explicit
-    degree set, "product" of factor models.  PGL2 models identify a group
-    but do not resolve to a degree set.
-    """
-
-    kind: str
-    p: int | None = None
-    f: int | None = None
-    degrees: DegreeSet | None = None
-    factors: tuple["GroupModel", ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind in ("psl2", "pgl2"):
-            if self.p is None or self.f is None:
-                raise ValueError(f"{self.kind} model needs p and f")
-            q = self.p**self.f
-            _require_psl2_q(q)
-        elif self.kind == "solvable":
-            if self.degrees is None:
-                raise ValueError("solvable model needs a degree set")
-        elif self.kind == "product":
-            if not self.factors:
-                raise ValueError("product model needs factors")
-        else:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-
-    @property
-    def q(self) -> int:
-        if self.kind not in ("psl2", "pgl2"):
-            raise ValueError(f"{self.kind} model has no q")
-        return self.p**self.f
-
-    @classmethod
-    def psl2(cls, p: int, f: int) -> "GroupModel":
-        return cls(kind="psl2", p=p, f=f)
-
-    @classmethod
-    def pgl2(cls, p: int, f: int) -> "GroupModel":
-        return cls(kind="pgl2", p=p, f=f)
-
-    @classmethod
-    def solvable(cls, degrees: DegreeSet | list[int]) -> "GroupModel":
-        if not isinstance(degrees, DegreeSet):
-            degrees = DegreeSet(degrees)
-        return cls(kind="solvable", degrees=degrees)
-
-    @classmethod
-    def product(cls, *factors: "GroupModel") -> "GroupModel":
-        return cls(kind="product", factors=tuple(factors))
-
-    def to_json(self) -> dict:
-        if self.kind in ("psl2", "pgl2"):
-            return {"kind": self.kind, "p": self.p, "f": self.f}
-        if self.kind == "solvable":
-            return {"kind": "solvable", "degrees": list(self.degrees.degrees)}
-        return {"kind": "product", "factors": [m.to_json() for m in self.factors]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GroupModel":
-        kind = data["kind"]
-        if kind in ("psl2", "pgl2"):
-            return cls(kind=kind, p=data["p"], f=data["f"])
-        if kind == "solvable":
-            return cls.solvable(data["degrees"])
-        if kind == "product":
-            return cls.product(*(cls.from_json(m) for m in data["factors"]))
-        raise ValueError(f"unknown model kind {kind!r}")
-
-
-def cd_of(model: GroupModel | DegreeSet) -> DegreeSet:
-    """Resolve a model to its degree set; PGL2 models are not resolvable."""
-    if isinstance(model, DegreeSet):
-        return model
-    if model.kind == "psl2":
-        return cd_psl2(model.q)
-    if model.kind == "solvable":
-        return model.degrees
-    if model.kind == "product":
-        return cd_direct_product(model.factors)
-    raise ValueError(f"cannot resolve a {model.kind} model to a degree set")
-
-
-def cd_direct_product(models) -> DegreeSet:
-    """Degrees of a direct product: all products of one degree per factor."""
-    out = {1}
-    for model in models:
-        cd = cd_of(model)
-        out = {x * y for x in out for y in cd}
-    return DegreeSet(out)
-
-
-# Simple groups whose order has exactly three prime divisors.
-K3_GROUPS: tuple[tuple[str, frozenset[int]], ...] = (
-    ("A5", frozenset({2, 3, 5})),
-    ("A6", frozenset({2, 3, 5})),
-    ("PSL2(7)", frozenset({2, 3, 7})),
-    ("PSL2(8)", frozenset({2, 3, 7})),
-    ("PSL2(17)", frozenset({2, 3, 17})),
-    ("PSL3(3)", frozenset({2, 3, 13})),
-    ("PSU3(3)", frozenset({2, 3, 7})),
-    ("PSU4(2)", frozenset({2, 3, 5})),
-)
-
-
-def k3_group_table() -> tuple[tuple[str, frozenset[int]], ...]:
-    return K3_GROUPS
-
-
-def k3_group_primes(name: str) -> frozenset[int]:
-    for entry_name, primes in K3_GROUPS:
-        if entry_name == name:
-            return primes
-    raise KeyError(name)

@@ -8,6 +8,7 @@ always sorted so equal graphs print and serialize identically.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -16,6 +17,17 @@ from .arith import is_prime, prime_divisors
 
 # Exhaustive clique/isomorphism searches are bounded to this many vertices.
 MAX_SEARCH_VERTICES = 12
+
+
+def _int_list(values, what: str) -> list[int]:
+    """values as a list of ints; anything else, bool and float included, is
+    a ValueError.  Checked before a set() could merge True into 1."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list of integers, got {type(values).__name__}")
+    bad = [v for v in values if type(v) is not int]
+    if bad:
+        raise ValueError(f"{what} must hold integers only, got {bad[0]!r}")
+    return list(values)
 
 
 class CharGraph:
@@ -88,7 +100,12 @@ class CharGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "CharGraph":
-        return cls(data["vertices"], [tuple(e) for e in data["edges"]])
+        if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
+            raise ValueError('a graph must be a JSON object with "vertices" and "edges" lists')
+        edges = [_int_list(e, "an edge") for e in data["edges"]]
+        if any(len(e) != 2 for e in edges):
+            raise ValueError("every edge must be a pair of vertices")
+        return cls(_int_list(data.get("vertices"), "vertices"), [tuple(e) for e in edges])
 
     def to_dot(self, name: str = "delta") -> str:
         lines = [f"graph {name} {{"]
@@ -100,9 +117,6 @@ class CharGraph:
         return "\n".join(lines)
 
 
-EMPTY_GRAPH = CharGraph(())
-
-
 @dataclass(frozen=True)
 class DegreeSet:
     """A finite set of character degrees; always contains 1."""
@@ -110,7 +124,7 @@ class DegreeSet:
     degrees: tuple[int, ...]
 
     def __init__(self, degrees: Iterable[int]) -> None:
-        ds = tuple(sorted(set(degrees)))
+        ds = tuple(sorted(set(_int_list(tuple(degrees), "degrees"))))
         if not ds or ds[0] < 1:
             raise ValueError("degrees must be positive integers")
         if 1 not in ds:
@@ -135,21 +149,30 @@ class DegreeSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "DegreeSet":
-        return cls(data["degrees"])
+        if not isinstance(data, dict) or "degrees" not in data:
+            raise ValueError('a degree set must be a JSON object with a "degrees" list')
+        return cls(_int_list(data["degrees"], "degrees"))
 
 
-def graph_from_cd(cd: DegreeSet) -> CharGraph:
-    """The character graph of a degree set.
+def graph_from_cd(*factors: DegreeSet) -> CharGraph:
+    """The character graph of a degree set, or of a direct product of groups
+    with the given degree sets.
 
-    Distinct primes p, q dividing the same degree d automatically satisfy
-    pq | d, so each degree contributes a clique on its prime divisors.
+    A degree of the product is one degree from each factor, and its prime
+    divisors are the union of theirs, pi(ab) = pi(a) | pi(b), so no product
+    is formed or factored.  Distinct primes p, q dividing the same degree d
+    satisfy pq | d, so each degree contributes a clique on its prime
+    divisors.
     """
+    prime_sets = {frozenset()}
+    for cd in factors:
+        family = {frozenset(prime_divisors(d)) for d in cd}
+        prime_sets = {a | b for a in prime_sets for b in family}
     verts: set[int] = set()
     edges: set[tuple[int, int]] = set()
-    for d in cd:
-        ps = sorted(prime_divisors(d))
+    for ps in prime_sets:
         verts.update(ps)
-        edges.update(combinations(ps, 2))
+        edges.update(combinations(sorted(ps), 2))
     return CharGraph(verts, edges)
 
 
@@ -231,9 +254,9 @@ def is_bipartite(g: CharGraph) -> bool:
         if start in color:
             continue
         color[start] = 0
-        queue = [start]
+        queue = deque([start])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for w in g.neighbors(u):
                 if w not in color:
                     color[w] = 1 - color[u]
