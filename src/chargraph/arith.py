@@ -1,49 +1,30 @@
 """Exact integer arithmetic on unsigned 64-bit values.
 
 Factorization, prime-divisor sets, deterministic primality, and primitive
-prime divisors of base^n - 1.  Everything here is a pure function; repeated
-calls with the same input give identical results.
+prime divisors of base^n - 1.  Everything here is a pure function of its
+arguments, with no table, no cache and no setting: Pollard rho is seeded
+from the number it splits, so repeated calls give identical results.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 U64_MAX = 2**64 - 1
 
-# Trial division covers primes below this bound; anything left is handled by
-# Pollard rho plus Miller-Rabin certification.
-TRIAL_BOUND = 1 << 20
-
-# Default seed for the rho parameter sequence.  CHARGRAPH_SEED overrides it.
-DEFAULT_SEED = 0x5EED_C0DE
+# Trial division stops below this bound; a cofactor left with no smaller
+# factor is certified by Miller-Rabin or split by Pollard rho.
+TRIAL_BOUND = 1 << 10
 
 # Witness set proving primality for every n < 3.3e24 (covers the u64 range).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_sieve_primes: list[int] | None = None
 
 
 def _check_width(n: int) -> None:
     if n > U64_MAX:
         raise OverflowError(f"{n} exceeds the supported 64-bit range")
-
-
-def _small_primes() -> list[int]:
-    """Primes below TRIAL_BOUND, sieved once and cached."""
-    global _sieve_primes
-    if _sieve_primes is None:
-        sieve = bytearray([1]) * TRIAL_BOUND
-        sieve[0] = sieve[1] = 0
-        for i in range(2, 1024 + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(range(i * i, TRIAL_BOUND, i)))
-        _sieve_primes = [i for i in range(TRIAL_BOUND) if sieve[i]]
-    return _sieve_primes
 
 
 def is_prime(n: int) -> bool:
@@ -71,18 +52,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _rho_seed() -> int:
-    env = os.environ.get("CHARGRAPH_SEED")
-    return int(env) if env else DEFAULT_SEED
-
-
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n with no factor <= TRIAL_BOUND.
+    """A nontrivial factor of composite odd n.
 
     Brent's cycle variant.  The (y, c) parameter sequence comes from a PRNG
-    seeded by (seed, n), so the factor found is reproducible run to run.
+    seeded by n, so the factor found is the same in every run.
     """
-    rng = random.Random(_rho_seed() * (U64_MAX + 2) + n)
+    rng = random.Random(n)
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -109,37 +85,6 @@ def _pollard_rho(n: int) -> int:
                 g = gcd(abs(x - ys), n)
         if g != n:
             return g
-
-
-@lru_cache(maxsize=65536)
-def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    # Large primes would otherwise force a full sweep of the trial sieve.
-    if n >= 1 << 40 and is_prime(n):
-        return ((n, 1),)
-    exps: dict[int, int] = {}
-    for p in _small_primes():
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                e += 1
-                n //= p
-            exps[p] = e
-            if n > 1 and is_prime(n):
-                break
-    # Whatever survives trial division is 1, a prime, or a product of
-    # primes above TRIAL_BOUND; split the latter with rho.
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            exps[m] = exps.get(m, 0) + 1
-        else:
-            d = _pollard_rho(m)
-            stack.append(d)
-            stack.append(m // d)
-    return tuple(sorted(exps.items()))
 
 
 @dataclass(frozen=True)
@@ -180,13 +125,29 @@ class Factorization:
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 into primes.
 
-    Trial division by the sieved primes below TRIAL_BOUND, then Pollard rho
-    with Miller-Rabin certification for any remaining cofactor.
+    Trial division by 2 and the odd d below TRIAL_BOUND while d^2 <= n, then
+    Pollard rho, with Miller-Rabin certification, on what is left.
     """
     if n < 1:
         raise ValueError("cannot factor n < 1")
     _check_width(n)
-    return Factorization(n, _factor_pairs(n))
+    exps: dict[int, int] = {}
+    m, d = n, 2
+    while d < TRIAL_BOUND and d * d <= m:
+        while m % d == 0:
+            exps[d] = exps.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    # Every prime factor left is >= d, so a cofactor below d^2 is prime.
+    stack = [m] if m > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < d * d or is_prime(m):
+            exps[m] = exps.get(m, 0) + 1
+        else:
+            r = _pollard_rho(m)
+            stack += (r, m // r)
+    return Factorization(n, tuple(sorted(exps.items())))
 
 
 def prime_divisors(n: int) -> set[int]:

@@ -10,6 +10,7 @@ radical model and confirms the predicted shape edge for edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import combinations
 
 from .arith import factorize, is_prime, prime_divisors
@@ -28,18 +29,18 @@ from .shapes import GraphExpr, eval_shape, parse_shape, render_shape
 F_MAX = 63
 Q_ODD_MAX = 100_000
 
-CASE_SHAPES = {
-    "I": "K3^c * C4",
-    "II": "(K2 + K1 + K2) * K2^c",
-    "III": "K3 + K1 + K3",
+# (|pi(2^f - 1)|, |pi(2^f + 1)|) -> (case, expected shape, required radical,
+# number of radical factors).  A case with n > 0 factors needs exactly n,
+# each contributing two fresh primes and no edge; with 0 the radical is
+# abelian and any number of prime-free factors fits.
+CASES = {
+    (1, 1): ("I", "K3^c * C4",
+             "two degree-set factors, each contributing two fresh primes and no edge", 2),
+    (2, 2): ("II", "(K2 + K1 + K2) * K2^c",
+             "one degree-set factor contributing two fresh primes and no edge", 1),
+    (3, 3): ("III", "K3 + K1 + K3", "abelian (contributes no primes)", 0),
 }
-
-_RADICAL_NOTES = {
-    "I": "two degree-set factors, each contributing two fresh primes and no edge",
-    "II": "one degree-set factor contributing two fresh primes and no edge",
-    "III": "abelian (contributes no primes)",
-    None: "none (prime-divisor counts match no case)",
-}
+_NO_CASE = (None, None, "none (prime-divisor counts match no case)", 0)
 
 
 class RadicalValidationError(ValueError):
@@ -81,36 +82,48 @@ def _check_f(f: int) -> None:
         raise ValueError(f"f must be in [2, {F_MAX}], got {f}")
 
 
-def _sizes(f: int) -> tuple[int, int]:
-    """(|pi(2^f - 1)|, |pi(2^f + 1)|), the counts that pick the case."""
-    q = 2**f
-    return len(prime_divisors(q - 1)), len(prime_divisors(q + 1))
-
-
 def classify_f(f: int) -> CaseReport:
     """Assign f to case I/II/III by the prime-divisor counts of 2^f -+ 1.
 
     Case I: both counts 1; II: both 2; III: both 3; anything else (mixed
-    counts included) is no case.
+    counts included) is no case.  Reports are memoized: f has at most
+    F_MAX - 1 values, and verify_main and the scanners ask for the same f
+    again.  A bad f raises and is not kept.
     """
     _check_f(f)
-    sizes = _sizes(f)
-    case = {(1, 1): "I", (2, 2): "II", (3, 3): "III"}.get(sizes)
+    return _classify(f)
+
+
+@cache
+def _classify(f: int) -> CaseReport:
+    q = 2**f
+    socle = graph_psl2(q)
+    # The socle's vertices are 2 and the disjoint sets pi(q - 1), pi(q + 1).
+    sizes = (
+        sum((q - 1) % p == 0 for p in socle.vertices),
+        sum((q + 1) % p == 0 for p in socle.vertices),
+    )
+    case, shape, note, _ = CASES.get(sizes, _NO_CASE)
     return CaseReport(
         f=f,
         sizes=sizes,
         case=case,
-        socle_graph=graph_psl2(2**f),
-        required_radical=_RADICAL_NOTES[case],
-        expected_shape=parse_shape(CASE_SHAPES[case]) if case else None,
+        socle_graph=socle,
+        required_radical=note,
+        expected_shape=parse_shape(shape) if shape else None,
     )
 
 
-def _validate_radical(case: str, socle_primes: set[int], radical: list[DegreeSet]) -> list[str]:
+def _case_factor_count(report: CaseReport) -> int:
+    if report.case is None:
+        raise ValueError(f"f = {report.f} has sizes {report.sizes}; no case applies")
+    return CASES[report.sizes][3]
+
+
+def _validate_radical(case: str, count: int, socle_primes: set[int], radical: list[DegreeSet]) -> list[str]:
     failures: list[str] = []
-    expected_count = {"I": 2, "II": 1}.get(case)
-    if expected_count is not None and len(radical) != expected_count:
-        failures.append(f"case {case} needs exactly {expected_count} radical factor(s), got {len(radical)}")
+    if count and len(radical) != count:
+        failures.append(f"case {case} needs exactly {count} radical factor(s), got {len(radical)}")
     seen: set[int] = set()
     for i, factor in enumerate(radical):
         rho = factor.rho()
@@ -121,14 +134,14 @@ def _validate_radical(case: str, socle_primes: set[int], radical: list[DegreeSet
         if dup:
             failures.append(f"factor {i} reuses primes {sorted(dup)} of an earlier factor")
         seen |= rho
-        if case in ("I", "II"):
+        if count:
             if len(rho) != 2:
                 failures.append(f"factor {i} must contribute exactly 2 primes, has {sorted(rho)}")
             elif graph_from_cd(factor).edge_count != 0:
                 failures.append(f"factor {i} must have an edgeless graph")
         else:
             if rho:
-                failures.append(f"case III radical must be abelian; factor {i} has primes {sorted(rho)}")
+                failures.append(f"case {case} radical must be abelian; factor {i} has primes {sorted(rho)}")
     return failures
 
 
@@ -138,9 +151,8 @@ def verify_main(f: int, radical: list[DegreeSet]) -> CaseReport:
     the case's expected shape.
     """
     report = classify_f(f)
-    if report.case is None:
-        raise ValueError(f"f = {f} has sizes {report.sizes}; no case applies")
-    failures = _validate_radical(report.case, set(report.socle_graph.vertices), radical)
+    count = _case_factor_count(report)
+    failures = _validate_radical(report.case, count, set(report.socle_graph.vertices), radical)
     if failures:
         raise RadicalValidationError(failures)
     delta = graph_from_cd(cd_psl2(2**f), *radical)
@@ -160,22 +172,15 @@ def synthetic_radical(f: int) -> list[DegreeSet]:
     for case III.
     """
     report = classify_f(f)
-    if report.case is None:
-        raise ValueError(f"f = {f} has sizes {report.sizes}; no case applies")
-    if report.case == "III":
-        return []
+    needed = 2 * _case_factor_count(report)
     socle_primes = set(report.socle_graph.vertices)
-    needed = 4 if report.case == "I" else 2
     fresh: list[int] = []
     candidate = 3
     while len(fresh) < needed:
         if is_prime(candidate) and candidate not in socle_primes:
             fresh.append(candidate)
         candidate += 2
-    factors = [DegreeSet([1, fresh[0], fresh[1]])]
-    if report.case == "I":
-        factors.append(DegreeSet([1, fresh[2], fresh[3]]))
-    return factors
+    return [DegreeSet([1, fresh[i], fresh[i + 1]]) for i in range(0, needed, 2)]
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,7 @@ def scan_lemma_interest(f_max: int) -> list[ScanHit]:
     hits: list[ScanHit] = []
     for f in range(2, f_max + 1):
         q = 2**f
-        sizes = _sizes(f)
+        sizes = classify_f(f).sizes
         if sizes[0] + sizes[1] != 3:
             continue
         clause, witness = None, f"no clause fits sizes {sizes}"
@@ -232,7 +237,7 @@ def scan_lemma_evenfive(f_max: int) -> list[ScanHit]:
         raise ValueError(f"f_max must be in [2, {F_MAX}]")
     hits: list[ScanHit] = []
     for f in range(2, f_max + 1):
-        if _sizes(f) != (2, 2):
+        if classify_f(f).sizes != (2, 2):
             continue
         if f in (6, 9):
             clause, reason = "ok", f"f = {f}"

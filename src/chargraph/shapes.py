@@ -65,6 +65,15 @@ class Join:
 
 GraphExpr = TypingUnion[Complete, Cycle, Complement, Union, Join]
 
+# Deepest parenthesis nesting parse_shape accepts.  Each level costs four
+# parser frames, so this stays well inside Python's recursion limit.
+MAX_DEPTH = 64
+
+# Most leaf vertices eval_shape builds.  Edges grow with the square of the
+# vertex count (K600 alone takes about 100 MB), so the cap is checked on
+# the AST before anything is built.
+MAX_VERTICES = 256
+
 
 class ShapeSyntaxError(ValueError):
     """Raised on malformed shape expressions; carries the offending offset."""
@@ -78,6 +87,7 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ShapeSyntaxError:
         return ShapeSyntaxError(message, self.pos)
@@ -141,11 +151,15 @@ class _Parser:
                 raise ShapeSyntaxError(f"C{n} is not a cycle; need n >= 3", at)
             return Cycle(n)
         if ch == "(":
+            if self.depth == MAX_DEPTH:
+                raise self.error(f"parentheses nested deeper than {MAX_DEPTH}")
             self.take()
+            self.depth += 1
             node = self.parse_expr()
             if self.peek() != ")":
                 raise self.error("expected ')'")
             self.take()
+            self.depth -= 1
             return node
         if ch == "":
             raise self.error("unexpected end of input")
@@ -189,8 +203,24 @@ def _eval(expr: GraphExpr, labels: Iterator[int]) -> CharGraph:
     raise TypeError(f"not a shape expression: {expr!r}")
 
 
+def _leaf_vertices(expr: GraphExpr) -> int:
+    """The vertex count of expr's graph: the sum of its leaves' sizes."""
+    if isinstance(expr, (Complete, Cycle)):
+        return expr.n
+    if isinstance(expr, Complement):
+        return _leaf_vertices(expr.inner)
+    return sum(_leaf_vertices(p) for p in expr.parts)
+
+
 def eval_shape(expr: GraphExpr) -> CharGraph:
-    """Evaluate an AST to a graph labeled with fresh primes 2, 3, 5, ..."""
+    """Evaluate an AST to a graph labeled with fresh primes 2, 3, 5, ...
+
+    Raises ValueError, before building anything, when the graph would have
+    more than MAX_VERTICES vertices.
+    """
+    n = _leaf_vertices(expr)
+    if n > MAX_VERTICES:
+        raise ValueError(f"shape has {n} vertices; at most {MAX_VERTICES} are supported")
     return _eval(expr, _prime_stream())
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +10,6 @@ from hypothesis import strategies as st
 from chargraph.arith import (
     U64_MAX,
     Factorization,
-    _factor_pairs,
     factorize,
     is_prime,
     prime_divisors,
@@ -40,11 +44,32 @@ class TestFactorize:
         for p in fac.primes:
             assert trial_is_prime(p)
 
-    def test_rho_determinism_across_cache_clears(self):
+    def test_rho_determinism_across_calls_and_processes(self):
         n = 2**58 + 1
         first = factorize(n).factors
-        _factor_pairs.cache_clear()
         assert factorize(n).factors == first
+        code = f"from chargraph.arith import factorize; print(factorize({n}).factors)"
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == repr(first)
+
+    @pytest.mark.parametrize("n", [
+        1021 * 1031,  # primes either side of TRIAL_BOUND = 1024
+        1031**2,  # a square left over at the bound
+        1031 * 1033,  # both primes above the bound
+        1031**3,
+    ])
+    def test_trial_bound_edges_match_trial_division(self, n):
+        assert factorize(n).factors == tuple(trial_factorize(n))
+
+    @pytest.mark.parametrize("n,factors", [
+        (2 * (2**61 - 1), ((2, 1), (2**61 - 1, 1))),
+        ((2**31 - 1) ** 2, ((2**31 - 1, 2),)),
+        (3**40, ((3, 40),)),
+    ])
+    def test_large_known_factorizations(self, n, factors):
+        assert factorize(n).factors == factors
 
     def test_exhaustive_small_range(self):
         for n in range(1, 100_000):

@@ -1,6 +1,11 @@
+import json
+import math
+from pathlib import Path
+
 import pytest
 
 from chargraph.classify import (
+    F_MAX,
     RadicalValidationError,
     classify_f,
     scan_counterexamples,
@@ -62,3 +67,33 @@ def test_scan_hits_carry_their_key(scan, bound, keys):
     hits = scan(bound)
     assert [h.key for h in hits] == keys
     assert scan_counterexamples(hits) == []
+
+
+# Rows [f, factors of 2^f - 1, factors of 2^f + 1] for f = 2..63, each a
+# list of [prime, exponent]; frozen from sympy.factorint.
+FACTOR_TABLE = json.loads((Path(__file__).parent / "golden" / "mersenne_factors.json").read_text())
+COUNT_PAIRS = {f: (len(minus), len(plus)) for f, minus, plus in FACTOR_TABLE}
+
+
+def test_factor_table_checks_itself():
+    sympy = pytest.importorskip("sympy")
+    assert list(COUNT_PAIRS) == list(range(2, F_MAX + 1))
+    for f, minus, plus in FACTOR_TABLE:
+        for n, factors in ((2**f - 1, minus), (2**f + 1, plus)):
+            primes = [p for p, _ in factors]
+            assert primes == sorted(set(primes))
+            assert all(e >= 1 for _, e in factors)
+            assert math.prod(p**e for p, e in factors) == n
+            assert all(sympy.isprime(p) for p in primes), (f, n)
+
+
+def test_classify_f_sizes_match_the_factor_table():
+    assert {f: classify_f(f).sizes for f in COUNT_PAIRS} == COUNT_PAIRS
+
+
+def test_f_scanners_match_the_factor_table():
+    interest = scan_lemma_interest(F_MAX)
+    assert [h.key for h in interest] == [f for f, (a, b) in COUNT_PAIRS.items() if a + b == 3]
+    assert all(h.fields["sizes"] == list(COUNT_PAIRS[h.key]) for h in interest)
+    evenfive = scan_lemma_evenfive(F_MAX)
+    assert [h.key for h in evenfive] == [f for f, pair in COUNT_PAIRS.items() if pair == (2, 2)]

@@ -28,3 +28,20 @@ def test_malformed_input_exits_2_with_one_line(argv, file_data, tmp_path, capsys
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+DEEP = "(" * 400 + "K1" + ")" * 400
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (["parse-shape", DEEP], "syntax error: parentheses nested deeper than"),
+    (["iso", DEEP, "K1"], "syntax error: parentheses nested deeper than"),
+    (["iso", "K1", DEEP], "syntax error: parentheses nested deeper than"),
+    (["parse-shape", "K128 + C129"], "error: shape has 257 vertices"),
+], ids=["parse-shape-deep", "iso-first-deep", "iso-second-deep", "parse-shape-over-cap"])
+def test_oversized_shape_exits_2_with_one_line(argv, prefix, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1

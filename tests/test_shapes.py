@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargraph.graphs import are_isomorphic, complement, disjoint_union, is_kn_free, join
+from chargraph import shapes
 from chargraph.shapes import (
+    MAX_DEPTH,
+    MAX_VERTICES,
     Complement,
     Complete,
     Cycle,
@@ -78,6 +81,14 @@ class TestParse:
             parse_shape("K2 + C2")
         assert err.value.position == 6
 
+    def test_nesting_at_the_depth_cap_parses(self):
+        assert parse_shape("(" * MAX_DEPTH + "K1" + ")" * MAX_DEPTH) == Complete(1)
+
+    def test_nesting_past_the_depth_cap_rejected_at_the_paren(self):
+        with pytest.raises(ShapeSyntaxError) as err:
+            parse_shape("K1 * " + "(" * 400 + "K1" + ")" * 400)
+        assert err.value.position == 5 + MAX_DEPTH
+
 
 class TestEval:
     def test_join_of_edgeless_pairs_is_a_square(self):
@@ -111,6 +122,21 @@ class TestEval:
 
     def test_empty_graph_joined_is_identity(self):
         assert eval_shape(parse_shape("K0 * K3")) == eval_shape(parse_shape("K3"))
+
+    @pytest.mark.parametrize("expr,n", [
+        (Complete(MAX_VERTICES + 1), MAX_VERTICES + 1),
+        (Union((Cycle(MAX_VERTICES), Complete(1))), MAX_VERTICES + 1),
+        (Complement(Join((Complete(2), Complete(10**12)))), 10**12 + 2),
+    ])
+    def test_vertex_cap_checked_on_the_ast(self, expr, n, monkeypatch):
+        # Nothing may be built for a shape over the cap.
+        monkeypatch.setattr(shapes, "_eval", lambda *_: pytest.fail("evaluated an over-cap shape"))
+        with pytest.raises(ValueError, match=f"shape has {n} vertices; at most {MAX_VERTICES}"):
+            eval_shape(expr)
+
+    def test_vertex_cap_admits_shapes_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(shapes, "_eval", lambda *_: "built")
+        assert eval_shape(Union((Cycle(MAX_VERTICES - 1), Complete(1)))) == "built"
 
     @settings(max_examples=100)
     @given(shape_asts)
