@@ -9,8 +9,9 @@ from the number it splits, so repeated calls give identical results.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd
+
+from ._value import Value
 
 U64_MAX = 2**64 - 1
 
@@ -87,22 +88,20 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Value):
     """A positive integer together with its prime factorization.
 
     ``factors`` lists (prime, exponent) pairs with strictly increasing
     primes; their product reconstructs ``n``.
     """
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "factors")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
+        if n < 1:
             raise ValueError("factored value must be positive")
         prod, last = 1, 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last:
                 raise ValueError("factor primes must be strictly increasing")
             if e < 1:
@@ -111,8 +110,10 @@ class Factorization:
                 raise ValueError(f"{p} is not prime")
             prod *= p**e
             last = p
-        if prod != self.n:
-            raise ValueError(f"factors reconstruct {prod}, expected {self.n}")
+        if prod != n:
+            raise ValueError(f"factors reconstruct {prod}, expected {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def primes(self) -> tuple[int, ...]:

@@ -9,10 +9,10 @@ radical model and confirms the predicted shape edge for edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
 from itertools import combinations
 
+from ._value import Value
 from .arith import factorize, is_prime, prime_divisors
 from .degrees import cd_psl2, graph_psl2, prime_power
 from .graphs import (
@@ -51,18 +51,23 @@ class RadicalValidationError(ValueError):
         self.failures = list(failures)
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(Value):
     """Classification of one exponent f, optionally with verification."""
 
-    f: int
-    sizes: tuple[int, int]
-    case: str | None
-    socle_graph: CharGraph
-    required_radical: str
-    expected_shape: GraphExpr | None
-    verified: bool | None = None
-    product_graph: CharGraph | None = None
+    __slots__ = ("f", "sizes", "case", "socle_graph", "required_radical", "expected_shape",
+                 "verified", "product_graph")
+
+    def __init__(self, f: int, sizes: tuple[int, int], case: str | None, socle_graph: CharGraph,
+                 required_radical: str, expected_shape: GraphExpr | None,
+                 verified: bool | None = None, product_graph: CharGraph | None = None) -> None:
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "socle_graph", socle_graph)
+        object.__setattr__(self, "required_radical", required_radical)
+        object.__setattr__(self, "expected_shape", expected_shape)
+        object.__setattr__(self, "verified", verified)
+        object.__setattr__(self, "product_graph", product_graph)
 
     def to_json(self) -> dict:
         return {
@@ -163,7 +168,8 @@ def verify_main(f: int, radical: list[DegreeSet]) -> CaseReport:
         and not is_bipartite(complement(delta))
         and are_isomorphic(delta, expected) is not None
     )
-    return replace(report, verified=ok, product_graph=delta)
+    return CaseReport(report.f, report.sizes, report.case, report.socle_graph,
+                      report.required_radical, report.expected_shape, ok, delta)
 
 
 def synthetic_radical(f: int) -> list[DegreeSet]:
@@ -183,8 +189,7 @@ def synthetic_radical(f: int) -> list[DegreeSet]:
     return [DegreeSet([1, fresh[i], fresh[i + 1]]) for i in range(0, needed, 2)]
 
 
-@dataclass(frozen=True)
-class ScanHit:
+class ScanHit(Value):
     """One hit of a lemma scanner.
 
     key is the scanned value (f, or q for oddfour); clause is the lemma
@@ -193,10 +198,13 @@ class ScanHit:
     fields is the hit's JSON object.
     """
 
-    key: int
-    clause: str | None
-    detail: str
-    fields: dict
+    __slots__ = ("key", "clause", "detail", "fields")
+
+    def __init__(self, key: int, clause: str | None, detail: str, fields: dict) -> None:
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "clause", clause)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "fields", fields)
 
     def to_json(self) -> dict:
         return self.fields

@@ -8,11 +8,11 @@ always sorted so equal graphs print and serialize identically.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from collections.abc import Iterable, Iterator
 from itertools import combinations
-from typing import Iterable, Iterator
 
+from ._value import Value
 from .arith import is_prime, prime_divisors
 
 # Exhaustive clique/isomorphism searches are bounded to this many vertices.
@@ -117,11 +117,10 @@ class CharGraph:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class DegreeSet:
+class DegreeSet(Value):
     """A finite set of character degrees; always contains 1."""
 
-    degrees: tuple[int, ...]
+    __slots__ = ("degrees",)
 
     def __init__(self, degrees: Iterable[int]) -> None:
         ds = tuple(sorted(set(_int_list(tuple(degrees), "degrees"))))
@@ -176,22 +175,26 @@ def graph_from_cd(*factors: DegreeSet) -> CharGraph:
     return CharGraph(verts, edges)
 
 
-def _require_disjoint(a: CharGraph, b: CharGraph) -> None:
-    overlap = set(a.vertices) & set(b.vertices)
+def _disjoint_vertices(gs: tuple[CharGraph, ...]) -> list[int]:
+    verts = [v for g in gs for v in g.vertices]
+    overlap = sorted(v for v, k in Counter(verts).items() if k > 1)
     if overlap:
-        raise ValueError(f"vertex sets overlap: {sorted(overlap)}")
+        raise ValueError(f"vertex sets overlap: {overlap}")
+    return verts
 
 
-def join(a: CharGraph, b: CharGraph) -> CharGraph:
-    """Disjoint union plus every edge between the two vertex sets."""
-    _require_disjoint(a, b)
-    cross = [(x, y) for x in a.vertices for y in b.vertices]
-    return CharGraph(a.vertices + b.vertices, list(a.edges) + list(b.edges) + cross)
+def join(*gs: CharGraph) -> CharGraph:
+    """The disjoint union of the graphs plus every edge between two of them."""
+    verts = _disjoint_vertices(gs)
+    cross = [
+        (x, y) for i, a in enumerate(gs) for b in gs[i + 1 :] for x in a.vertices for y in b.vertices
+    ]
+    return CharGraph(verts, [e for g in gs for e in g.edges] + cross)
 
 
-def disjoint_union(a: CharGraph, b: CharGraph) -> CharGraph:
-    _require_disjoint(a, b)
-    return CharGraph(a.vertices + b.vertices, list(a.edges) + list(b.edges))
+def disjoint_union(*gs: CharGraph) -> CharGraph:
+    """The union of graphs on pairwise disjoint vertex sets."""
+    return CharGraph(_disjoint_vertices(gs), [e for g in gs for e in g.edges])
 
 
 def complement(g: CharGraph) -> CharGraph:

@@ -14,56 +14,58 @@ character graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import combinations, count
-from typing import Iterator, Union as TypingUnion
 
+from ._value import Value
 from .arith import is_prime
 from .graphs import CharGraph, complement as graph_complement, disjoint_union, join as graph_join
 
 
-@dataclass(frozen=True)
-class Complete:
-    n: int
+class Complete(Value):
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int) -> None:
+        if n < 0:
             raise ValueError("K_n needs n >= 0")
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Cycle:
-    n: int
+class Cycle(Value):
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
+    def __init__(self, n: int) -> None:
+        if n < 3:
             raise ValueError("C_n needs n >= 3")
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Complement:
-    inner: "GraphExpr"
+class Complement(Value):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: GraphExpr) -> None:
+        object.__setattr__(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class Union:
-    parts: tuple["GraphExpr", ...]
+class Union(Value):
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __init__(self, parts: tuple[GraphExpr, ...]) -> None:
+        if not parts:
             raise ValueError("union of nothing")
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Join:
-    parts: tuple["GraphExpr", ...]
+class Join(Value):
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __init__(self, parts: tuple[GraphExpr, ...]) -> None:
+        if not parts:
             raise ValueError("join of nothing")
+        object.__setattr__(self, "parts", parts)
 
 
-GraphExpr = TypingUnion[Complete, Cycle, Complement, Union, Join]
+GraphExpr = Complete | Cycle | Complement | Union | Join
 
 # Deepest parenthesis nesting parse_shape accepts.  Each level costs four
 # parser frames, so this stays well inside Python's recursion limit.
@@ -189,17 +191,9 @@ def _eval(expr: GraphExpr, labels: Iterator[int]) -> CharGraph:
     if isinstance(expr, Complement):
         return graph_complement(_eval(expr.inner, labels))
     if isinstance(expr, Union):
-        graphs = [_eval(p, labels) for p in expr.parts]
-        out = graphs[0]
-        for g in graphs[1:]:
-            out = disjoint_union(out, g)
-        return out
+        return disjoint_union(*(_eval(p, labels) for p in expr.parts))
     if isinstance(expr, Join):
-        graphs = [_eval(p, labels) for p in expr.parts]
-        out = graphs[0]
-        for g in graphs[1:]:
-            out = graph_join(out, g)
-        return out
+        return graph_join(*(_eval(p, labels) for p in expr.parts))
     raise TypeError(f"not a shape expression: {expr!r}")
 
 

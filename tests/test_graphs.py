@@ -129,6 +129,16 @@ class TestJoin:
         with pytest.raises(ValueError):
             join(edgeless([2, 3]), edgeless([3, 5]))
 
+    def test_n_ary_equals_nested_binary(self):
+        a, b, c = complete_graph([2, 3]), edgeless([5, 7]), complete_graph([11, 13, 17])
+        assert join(a, b, c) == join(join(a, b), c) == join(a, join(b, c))
+        assert join(a) == a
+        assert join() == CharGraph(())
+
+    def test_rejects_overlap_between_any_two_parts(self):
+        with pytest.raises(ValueError, match=r"vertex sets overlap: \[2, 5\]"):
+            join(edgeless([2, 5]), edgeless([3]), edgeless([2, 5, 7]))
+
 
 class TestDisjointUnion:
     def test_case_iii_shape(self):
@@ -152,6 +162,16 @@ class TestDisjointUnion:
     def test_rejects_overlap(self):
         with pytest.raises(ValueError):
             disjoint_union(edgeless([2]), edgeless([2]))
+
+    def test_n_ary_equals_nested_binary(self):
+        a, b, c = complete_graph([2, 3]), edgeless([5, 7]), complete_graph([11, 13, 17])
+        assert disjoint_union(a, b, c) == disjoint_union(disjoint_union(a, b), c)
+        assert disjoint_union(a) == a
+        assert disjoint_union() == CharGraph(())
+
+    def test_rejects_overlap_between_any_two_parts(self):
+        with pytest.raises(ValueError, match=r"vertex sets overlap: \[3\]"):
+            disjoint_union(edgeless([3]), edgeless([2]), edgeless([3, 5]))
 
 
 class TestComplement:

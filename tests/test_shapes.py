@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargraph.graphs import are_isomorphic, complement, disjoint_union, is_kn_free, join
+from chargraph.graphs import CharGraph, are_isomorphic, complement, disjoint_union, is_kn_free, join
 from chargraph import shapes
 from chargraph.shapes import (
     MAX_DEPTH,
@@ -142,6 +142,34 @@ class TestEval:
     @given(shape_asts)
     def test_vertex_count_is_total_leaf_size(self, expr):
         assert eval_shape(expr).vertex_count == leaf_vertex_total(expr)
+
+    @pytest.mark.parametrize("text,same", [
+        (" * ".join(["K1"] * 256), "K256"),
+        (" * ".join(["K2"] * 128), "K256"),
+        (" + ".join(["K1"] * 256), "K256^c"),
+    ])
+    def test_long_chains_at_the_cap(self, text, same):
+        assert eval_shape(parse_shape(text)) == eval_shape(parse_shape(same))
+
+    @pytest.mark.parametrize("text", [
+        " * ".join(["K1"] * 256),
+        "(K2 + K1 + K2) * K2^c * C4 * K1",
+        "(K1 + K2 + (C3 * K1 * K2)^c) + K3",
+    ])
+    def test_one_graph_built_per_ast_node(self, text, monkeypatch):
+        def nodes(expr):
+            if isinstance(expr, (Complete, Cycle)):
+                return 1
+            if isinstance(expr, Complement):
+                return 1 + nodes(expr.inner)
+            return 1 + sum(nodes(p) for p in expr.parts)
+
+        built = []
+        original = CharGraph.__init__
+        monkeypatch.setattr(CharGraph, "__init__", lambda g, *a, **k: built.append(1) or original(g, *a, **k))
+        expr = parse_shape(text)
+        eval_shape(expr)
+        assert len(built) == nodes(expr)
 
 
 class TestRender:
