@@ -4,6 +4,12 @@ Factorization, prime-divisor sets, deterministic primality, and primitive
 prime divisors of base^n - 1.  Everything here is a pure function of its
 arguments, with no table, no cache and no setting: Pollard rho is seeded
 from the number it splits, so repeated calls give identical results.
+
+factorize splits 2^k -+ 1 into its cyclotomic (and, for 2^(4h+2) + 1, its
+Aurifeuillean) pieces before factoring each piece, as in the Cunningham
+tables of Brillhart et al., "Factorizations of b^n +- 1"; and one gcd with
+the product of the odd primes below TRIAL_BOUND tells it when trial
+division would find nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +24,20 @@ U64_MAX = 2**64 - 1
 # Trial division stops below this bound; a cofactor left with no smaller
 # factor is certified by Miller-Rabin or split by Pollard rho.
 TRIAL_BOUND = 1 << 10
+
+# The product of the odd primes below TRIAL_BOUND: an odd cofactor coprime to
+# it has no factor that trial division could find.  Written out, because
+# computing it made importing chargraph about 4% slower; tests/test_arith.py
+# rebuilds it.
+_ODD_PRIMES_BELOW_BOUND = int(
+    "5be8bcb40df053d086730478a67ff52857e9cd2c922dffdefb49eb85c874fa94"
+    "871f9903efdd8d42357186ead068ab1275bddf957dea3af6eb4f6d872eee1575"
+    "aa93fb0128f184dc6534aa0297675ef2063fc0a73d470bb8c26d87c125e7d2b4"
+    "db0f4ff5aab5642e59fcb01ec26a013eaf28726c3f7541b2cbec9cead20bf5a8"
+    "668fc4d8f6d690298ab0f02f7086fdeb47cc4463f61cf3cd9d6b88a672998fd4"
+    "8537c4d5c424516cca491e8435d05cc9e19",
+    16,
+)
 
 # Witness set proving primality for every n < 3.3e24 (covers the u64 range).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -123,22 +143,60 @@ class Factorization(Value):
         return dict(self.factors)
 
 
-def factorize(n: int) -> Factorization:
-    """Factor n >= 1 into primes.
+def _cyclotomic_pieces(n: int) -> list[int]:
+    """Factors > 1 of n whose product is n, split by algebra when n = 2^k -+ 1.
 
-    Trial division by 2 and the odd d below TRIAL_BOUND while d^2 <= n, then
-    Pollard rho, with Miller-Rabin certification, on what is left.
+    2^k - 1 is the product of Phi_d(2) over d | k, and 2^k + 1 that over
+    d | 2k with d not dividing k; each Phi_d(2) is 2^d - 1 divided exactly
+    by the Phi_e(2) of the proper divisors e of d.  2^(4h+2) + 1 is also
+    (2^(2h+1) - 2^(h+1) + 1)(2^(2h+1) + 2^(h+1) + 1) (Aurifeuille), so each
+    of its pieces is split again by its gcd with the first factor.  Pieces
+    may share a prime (3 divides Phi_2(2) and Phi_6(2)).  Any other n is
+    returned whole.
     """
-    if n < 1:
-        raise ValueError("cannot factor n < 1")
-    _check_width(n)
-    exps: dict[int, int] = {}
-    m, d = n, 2
+    if n & (n + 1) == 0:  # n = 2^k - 1
+        k = top = n.bit_length()
+    elif (n - 1) & (n - 2) == 0:  # n = 2^k + 1
+        k = n.bit_length() - 1
+        top = 2 * k
+    else:
+        return [n]
+    phi: dict[int, int] = {}
+    for d in range(1, top + 1):
+        if top % d == 0:
+            v = (1 << d) - 1
+            for e, pe in phi.items():
+                if d % e == 0:
+                    v //= pe
+            phi[d] = v
+    # For 2^k + 1 only the d not dividing k count.
+    pieces = [v for d, v in phi.items() if v > 1 and (top == k or k % d)]
+    if top != k and k % 4 == 2:
+        h = k // 4
+        left = (1 << (2 * h + 1)) - (1 << (h + 1)) + 1
+        split = []
+        for v in pieces:
+            g = gcd(v, left)
+            split += (x for x in (g, v // g) if x > 1)
+        pieces = split
+    return pieces
+
+
+def _factor_into(m: int, exps: dict[int, int]) -> None:
+    """Add the prime factorization of m >= 1 to exps."""
+    twos = (m & -m).bit_length() - 1
+    if twos:
+        exps[2] = exps.get(2, 0) + twos
+        m >>= twos
+    d = 3
+    if m >= TRIAL_BOUND * TRIAL_BOUND and gcd(m, _ODD_PRIMES_BELOW_BOUND) == 1:
+        # No odd d below the bound divides m: skip straight past them.
+        d = TRIAL_BOUND + 1
     while d < TRIAL_BOUND and d * d <= m:
         while m % d == 0:
             exps[d] = exps.get(d, 0) + 1
             m //= d
-        d += 1 if d == 2 else 2
+        d += 2
     # Every prime factor left is >= d, so a cofactor below d^2 is prime.
     stack = [m] if m > 1 else []
     while stack:
@@ -148,6 +206,25 @@ def factorize(n: int) -> Factorization:
         else:
             r = _pollard_rho(m)
             stack += (r, m // r)
+
+
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 into primes.
+
+    From 2^20 = TRIAL_BOUND^2 up, n = 2^k -+ 1 is first split into its
+    cyclotomic pieces (see _cyclotomic_pieces) and each piece is factored
+    alone, with exponents added across pieces.  A piece, or any other n,
+    loses its factors of 2; an odd cofactor of at least 2^20 that is
+    coprime to every odd prime below TRIAL_BOUND skips trial division, and
+    otherwise the odd d below TRIAL_BOUND are tried while d^2 <= m.  Pollard
+    rho, with Miller-Rabin certification, splits what is left.
+    """
+    if n < 1:
+        raise ValueError("cannot factor n < 1")
+    _check_width(n)
+    exps: dict[int, int] = {}
+    for piece in _cyclotomic_pieces(n) if n >= TRIAL_BOUND * TRIAL_BOUND else (n,):
+        _factor_into(piece, exps)
     return Factorization(n, tuple(sorted(exps.items())))
 
 

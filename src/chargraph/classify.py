@@ -154,6 +154,10 @@ def verify_main(f: int, radical: list[DegreeSet]) -> CaseReport:
     """Build the product degree-set graph for f and a radical model and check
     it: seven vertices, K4-free, non-bipartite complement, and isomorphic to
     the case's expected shape.
+
+    The complement clause follows from the two before it: a bipartite
+    complement on seven vertices has a side of at least four, which is a K4
+    in the graph (tests/test_atlas.py checks this on every 7-vertex graph).
     """
     report = classify_f(f)
     count = _case_factor_count(report)

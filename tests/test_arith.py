@@ -1,15 +1,20 @@
+import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chargraph.arith import (
+    TRIAL_BOUND,
     U64_MAX,
     Factorization,
+    _ODD_PRIMES_BELOW_BOUND,
+    _cyclotomic_pieces,
     factorize,
     is_prime,
     prime_divisors,
@@ -87,6 +92,126 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=10**6))
     def test_matches_trial_division_sampled(self, n):
         assert factorize(n).factors == tuple(trial_factorize(n))
+
+
+# Rows [f, factors of 2^f - 1, factors of 2^f + 1] for f = 2..63, frozen
+# from sympy.factorint (tests/test_classify.py checks the table itself).
+FACTOR_TABLE = json.loads((Path(__file__).parent / "golden" / "mersenne_factors.json").read_text())
+KNOWN_2K = {2**f + sign: tuple(map(tuple, factors))
+            for f, minus, plus in FACTOR_TABLE for sign, factors in ((-1, minus), (1, plus))}
+KNOWN_2K.update({2**0 + 1: ((2, 1),), 2**1 - 1: (), 2**1 + 1: ((3, 1),)})
+KNOWN_2K[2**64 - 1] = ((3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1))
+
+# The trial-division oracle runs only where its loop, which goes up to the
+# larger of the second largest prime and the root of the largest, is short.
+ORACLE_STEPS = 10**5
+
+ODD_PRIMES_BELOW_BOUND = [p for p in range(3, TRIAL_BOUND, 2) if trial_is_prime(p)]
+PRIMES_ABOVE_BOUND = [p for p in range(TRIAL_BOUND + 1, 1400, 2) if trial_is_prime(p)]
+
+
+def oracle_steps(factors) -> int:
+    primes = sorted(p for p, _ in factors)
+    return max(primes[-2] if len(primes) > 1 else 0, math.isqrt(primes[-1]) if primes else 0)
+
+
+class TestTwoPowerPlusMinusOne:
+    """factorize on 2^k -+ 1, which from 2^20 up it splits into cyclotomic pieces."""
+
+    def test_every_value_that_fits_in_u64(self):
+        assert len(KNOWN_2K) == 2 * 64 - 1  # 3 = 2^1 + 1 = 2^2 - 1
+        checked = 0
+        for n, factors in KNOWN_2K.items():
+            fac = factorize(n)
+            assert fac.factors == factors, n
+            assert Factorization(fac.n, fac.factors) == fac
+            if oracle_steps(factors) <= ORACLE_STEPS:
+                assert fac.factors == tuple(trial_factorize(n)), n
+                checked += 1
+        assert checked == 109
+
+    def test_pieces_multiply_back(self):
+        for n in KNOWN_2K:
+            if n >= TRIAL_BOUND**2:
+                pieces = _cyclotomic_pieces(n)
+                assert math.prod(pieces) == n and min(pieces) > 1, n
+
+    def test_prime_shared_by_two_pieces(self):
+        # Phi_2(2) = Phi_6(2) = 3, Phi_14(2) = 43, Phi_42(2) = 5419.
+        assert sorted(_cyclotomic_pieces(2**21 + 1)) == [3, 3, 43, 5419]
+        assert factorize(2**21 + 1).factors == ((3, 2), (43, 1), (5419, 1))
+
+    @pytest.mark.parametrize("h,factors", [
+        (14, ((5, 1), (107367629, 1), (536903681, 1))),
+        (15, ((5, 1), (5581, 1), (8681, 1), (49477, 1), (384773, 1))),
+    ])
+    def test_aurifeuillean_split(self, h, factors):
+        n = 2 ** (4 * h + 2) + 1
+        left = 2 ** (2 * h + 1) - 2 ** (h + 1) + 1
+        right = 2 ** (2 * h + 1) + 2 ** (h + 1) + 1
+        assert left * right == n
+        # Phi_4(2) = 5 divides one of the two factors; the other pieces are
+        # that factor over 5 and the other factor.
+        expected = [5, left // 5, right] if left % 5 == 0 else [5, left, right // 5]
+        assert sorted(_cyclotomic_pieces(n)) == sorted(expected)
+        assert factorize(n).factors == factors
+
+    def test_prime_piece(self):
+        assert _cyclotomic_pieces(2**61 - 1) == [2**61 - 1]
+        assert factorize(2**61 - 1).factors == ((2**61 - 1, 1),)
+
+    def test_top_of_the_range(self):
+        assert _cyclotomic_pieces(2**64 - 1) == [3, 5, 17, 257, 65537, 2**32 + 1]
+        assert factorize(2**64 - 1).factors == KNOWN_2K[2**64 - 1]
+
+    def test_at_the_gate(self):
+        # 2^20 - 1 is below TRIAL_BOUND^2 and is trial-divided whole.
+        assert factorize(2**20 - 1).factors == ((3, 1), (5, 2), (11, 1), (31, 1), (41, 1))
+        assert sorted(_cyclotomic_pieces(2**20 + 1)) == [17, 61681]
+        assert factorize(2**20 + 1).factors == ((17, 1), (61681, 1))
+        for n in (2**20 - 1, 2**20 + 1):
+            assert factorize(n).factors == tuple(trial_factorize(n))
+
+    def test_other_n_stay_whole(self):
+        for n in (2**40, 2**40 + 3, 3 * 2**40 - 1, 2**63 + 2):
+            assert _cyclotomic_pieces(n) == [n]
+
+
+class TestGcdScreen:
+    """An odd cofactor >= 2^20 coprime to every odd prime below TRIAL_BOUND
+    skips trial division and is taken as prime below (TRIAL_BOUND + 1)^2."""
+
+    def test_screen_constant(self):
+        assert _ODD_PRIMES_BELOW_BOUND == math.prod(ODD_PRIMES_BELOW_BOUND)
+        assert len(ODD_PRIMES_BELOW_BOUND) == 171
+
+    def test_window_around_the_gate(self):
+        for n in range(2**20 - 64, (TRIAL_BOUND + 1) ** 2 + 64):
+            assert factorize(n).factors == tuple(trial_factorize(n)), n
+
+    @pytest.mark.parametrize("n", [
+        1031 * 1033 * 1039 * 1049 * 1051 * 1061,  # six primes just above the bound
+        3 * 1031 * 1033,
+        1021**2 * 1031**2,
+        (2**31 - 1) * 1031,
+    ])
+    def test_named_values(self, n):
+        fac = factorize(n)
+        assert fac.factors == tuple(trial_factorize(n))
+        assert Factorization(fac.n, fac.factors) == fac
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        small=st.lists(st.sampled_from(ODD_PRIMES_BELOW_BOUND), max_size=3),
+        near=st.lists(st.sampled_from(PRIMES_ABOVE_BOUND), max_size=5),
+        rest=st.integers(min_value=0, max_value=2**25),
+    )
+    def test_odd_values_match_trial_division(self, small, near, rest):
+        n = math.prod(small) * math.prod(near) * (2 * rest + 1)
+        assume(TRIAL_BOUND**2 <= n <= U64_MAX)
+        fac = factorize(n)
+        assert fac.factors == tuple(trial_factorize(n))
+        assert Factorization(fac.n, fac.factors) == fac
 
 
 class TestFactorizationType:

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargraph import cli
 
@@ -45,3 +49,63 @@ def test_oversized_shape_exits_2_with_one_line(argv, prefix, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+# Generated argv for every verb, with arguments bounded to each verb's cheap
+# range; file arguments are written to a scratch file and "{file}" replaced.
+FORMATS = st.sampled_from(["json", "table"])
+GRAPH_FORMATS = st.sampled_from(["json", "dot", "table"])
+NUMBERS = st.integers(min_value=-3, max_value=2**40) | st.sampled_from([2**61 - 1, 2**64 - 1, 2**64, 2**100])
+SMALL = st.integers(min_value=-3, max_value=70)
+SHAPE_TEXT = st.text(alphabet="KC123456789()+*^c ", max_size=12)
+JSON_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-3, max_value=10**4) | st.floats(-10, 10) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["degrees", "vertices", "edges"]), inner, max_size=2),
+    max_leaves=8,
+)
+GRAPH_ARG = SHAPE_TEXT | st.fixed_dictionaries({
+    "vertices": st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 11]), max_size=5),
+    "edges": st.lists(st.lists(st.sampled_from([2, 3, 5, 6, 7]), min_size=1, max_size=3), max_size=4),
+}).map(json.dumps)
+
+VERBS = {
+    "factor": st.tuples(FORMATS, NUMBERS.map(str)).map(lambda t: (["factor", "--format", t[0], t[1]], None)),
+    "pi": st.tuples(FORMATS, NUMBERS.map(str)).map(lambda t: (["pi", "--format", t[0], t[1]], None)),
+    "zsigmondy": st.tuples(FORMATS, st.integers(-2, 12), SMALL).map(
+        lambda t: (["zsigmondy", "--format", t[0], str(t[1]), str(t[2])], None)),
+    "psl2-graph": st.tuples(GRAPH_FORMATS, st.integers(-2, 5000) | st.integers(2, 63).map(lambda k: 2**k)).map(
+        lambda t: (["psl2-graph", "--format", t[0], str(t[1])], None)),
+    "parse-shape": st.tuples(GRAPH_FORMATS, SHAPE_TEXT).map(lambda t: (["parse-shape", "--format", t[0], t[1]], None)),
+    "iso": st.tuples(FORMATS, GRAPH_ARG, GRAPH_ARG).map(lambda t: (["iso", "--format", t[0], t[1], t[2]], None)),
+    "classify-f": st.tuples(FORMATS, SMALL).map(lambda t: (["classify-f", "--format", t[0], str(t[1])], None)),
+    "verify-main": st.tuples(FORMATS, SMALL, st.none() | JSON_DATA).map(
+        lambda t: (["verify-main", "--format", t[0], "--f", str(t[1])] + ([] if t[2] is None else ["--radical", "{file}"]), t[2])),
+    "scan": st.tuples(FORMATS, st.sampled_from(["interest", "evenfive"]), st.none() | SMALL).map(
+        lambda t: (["scan", "--format", t[0], t[1]] + ([] if t[2] is None else ["--max", str(t[2])]), None))
+    | st.tuples(FORMATS, st.integers(-2, 3000)).map(
+        lambda t: (["scan", "--format", t[0], "oddfour", "--max", str(t[1])], None)),
+    "check-solvable": st.tuples(FORMATS, JSON_DATA).map(lambda t: (["check-solvable", "--format", t[0], "{file}"], t[1])),
+}
+
+
+def test_fuzz_covers_every_verb():
+    assert set(VERBS) == set(cli.build_parser()._subparsers._group_actions[0].choices)
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_fuzzed_argv_exits_0_1_or_2(verb, scratch_file):
+    @settings(max_examples=25, deadline=None)
+    @given(VERBS[verb])
+    def run(case):
+        argv, data = case
+        scratch_file.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([a.replace("{file}", str(scratch_file)) for a in argv])
+        assert code in (0, 1, 2)
+
+    run()

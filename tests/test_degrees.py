@@ -1,5 +1,5 @@
 import random
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -26,6 +26,31 @@ def test_psl2_graph_matches_degree_set_graph():
     assert len(qs) == 2326
     mismatches = [q for q in qs if graph_from_cd(cd_psl2(q)) != graph_psl2(q)]
     assert mismatches == []
+
+
+def psl2_multiplicities(q: int) -> dict[int, int]:
+    """Degree -> number of irreducible characters of PSL2(q) of that degree."""
+    if q % 2 == 0:
+        m = {1: 1, q - 1: q // 2, q: 1, q + 1: (q - 2) // 2}
+    elif q % 4 == 1:
+        m = {1: 1, (q + 1) // 2: 2, q - 1: (q - 1) // 4, q: 1, q + 1: (q - 5) // 4}
+    else:
+        m = {1: 1, (q - 1) // 2: 2, q - 1: (q - 3) // 4, q: 1, q + 1: (q - 3) // 4}
+    return {d: k for d, k in m.items() if k}
+
+
+@pytest.mark.parametrize("q,order", [(4, 60), (5, 60), (7, 168), (9, 360)])
+def test_psl2_order_small(q, order):
+    assert sum(k * d * d for d, k in psl2_multiplicities(q).items()) == order
+
+
+def test_cd_psl2_degrees_square_sum_to_the_group_order():
+    qs = prime_powers(4, 4999)
+    assert len(qs) == 709
+    for q in qs:
+        m = psl2_multiplicities(q)
+        assert set(m) == set(cd_psl2(q)), q
+        assert sum(k * d * d for d, k in m.items()) == q * (q * q - 1) // gcd(2, q - 1), q
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 6, 12, 100])
