@@ -21,14 +21,11 @@ from .graphs import (
     DegreeSet,
     are_isomorphic,
     complement,
-    connected_components,
     disjoint_union,
     graph_from_cd,
-    induced,
     is_bipartite,
     is_kn_free,
     join,
-    odd_cycle_triples,
 )
 from .shapes import (
     Complement,

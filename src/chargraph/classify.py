@@ -10,7 +10,6 @@ radical model and confirms the predicted shape edge for edge.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 
 from ._value import Value
 from .arith import factorize, is_prime, prime_divisors
@@ -18,6 +17,7 @@ from .degrees import cd_psl2, graph_psl2, prime_power
 from .graphs import (
     CharGraph,
     DegreeSet,
+    _check_search_bound,
     are_isomorphic,
     complement,
     graph_from_cd,
@@ -295,23 +295,16 @@ def scan_counterexamples(hits: list[ScanHit]) -> list[ScanHit]:
 
 def check_palfy(g: CharGraph) -> bool:
     """Necessary condition for the graph of a solvable group: among any
-    three vertices, two are adjacent (the complement is triangle-free).
-
-    Unlike graphs.odd_cycle_triples, which lists every such triple, this
-    stops at the first: an edgeless graph on n primes has C(n, 3) of them.
-    """
-    for t in combinations(g.vertices, 3):
-        if not any(g.has_edge(a, b) for a, b in combinations(t, 2)):
-            return False
-    return True
+    three vertices, two are adjacent.  It is is_kn_free(., 3) on the
+    complement, so it raises ValueError above MAX_SEARCH_VERTICES vertices."""
+    _check_search_bound(g)  # before the complement's C(n, 2) edges are built
+    return is_kn_free(complement(g), 3)
 
 
 def check_solvable_shape(g: CharGraph) -> bool:
     """Necessary condition for the graph of a solvable group: with at least
     four vertices it contains a triangle or is a 4-cycle."""
-    if g.vertex_count <= 3:
-        return True
-    if not is_kn_free(g, 3):
+    if g.vertex_count <= 3 or not is_kn_free(g, 3):
         return True
     four_cycle = CharGraph([2, 3, 5, 7], [(2, 3), (3, 5), (5, 7), (2, 7)])
     return are_isomorphic(g, four_cycle) is not None

@@ -44,14 +44,25 @@ def emit_graph(g: CharGraph, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def parse_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:  # nested deeper than the decoder can follow
+        raise ValueError("JSON input is nested too deeply") from None
+
+
+def read_json(path: str):
+    with open(path) as fh:
+        return parse_json(fh.read())
+
+
 def load_graph_argument(arg: str) -> CharGraph:
     """Inline JSON (leading '{'), a JSON file path, or a shape expression."""
     text = arg.strip()
     if text.startswith("{"):
-        return CharGraph.from_json(json.loads(text))
+        return CharGraph.from_json(parse_json(text))
     if os.path.exists(arg):
-        with open(arg) as fh:
-            return CharGraph.from_json(json.load(fh))
+        return CharGraph.from_json(read_json(arg))
     return eval_shape(parse_shape(arg))
 
 
@@ -60,14 +71,8 @@ def degree_set_from_json(data) -> DegreeSet:
     return DegreeSet(data) if isinstance(data, list) else DegreeSet.from_json(data)
 
 
-def load_degree_set(path: str) -> DegreeSet:
-    with open(path) as fh:
-        return degree_set_from_json(json.load(fh))
-
-
 def load_radical(path: str) -> list[DegreeSet]:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, list):
         raise ValueError("radical file must hold a JSON list of degree sets")
     return [degree_set_from_json(entry) for entry in data]
@@ -184,7 +189,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_check_solvable(args) -> int:
-    cd = load_degree_set(args.cd_file)
+    cd = degree_set_from_json(read_json(args.cd_file))
     g = graph_from_cd(cd)
     palfy = check_palfy(g)
     shape = check_solvable_shape(g)

@@ -72,9 +72,6 @@ class CharGraph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def neighbors(self, v: int) -> set[int]:
-        return set(self._adj[v])
-
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
@@ -132,9 +129,6 @@ class DegreeSet(Value):
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.degrees)
-
-    def __contains__(self, d: int) -> bool:
-        return d in self.degrees
 
     def rho(self) -> set[int]:
         """Primes dividing at least one degree."""
@@ -202,14 +196,6 @@ def complement(g: CharGraph) -> CharGraph:
     return CharGraph(g.vertices, edges)
 
 
-def induced(g: CharGraph, s: Iterable[int]) -> CharGraph:
-    keep = set(s)
-    unknown = keep - set(g.vertices)
-    if unknown:
-        raise ValueError(f"not vertices of the graph: {sorted(unknown)}")
-    return CharGraph(keep, [e for e in g.edges if e[0] in keep and e[1] in keep])
-
-
 def _check_search_bound(g: CharGraph) -> None:
     if g.vertex_count > MAX_SEARCH_VERTICES:
         raise ValueError(
@@ -229,27 +215,6 @@ def is_kn_free(g: CharGraph, n: int) -> bool:
     return True
 
 
-def connected_components(g: CharGraph) -> list[tuple[int, ...]]:
-    """Maximal connected vertex sets, each sorted, ordered by least member."""
-    seen: set[int] = set()
-    parts: list[tuple[int, ...]] = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for w in g.neighbors(u):
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        parts.append(tuple(sorted(comp)))
-    parts.sort(key=lambda c: c[0])
-    return parts
-
-
 def is_bipartite(g: CharGraph) -> bool:
     """Breadth-first 2-coloring."""
     color: dict[int, int] = {}
@@ -260,22 +225,13 @@ def is_bipartite(g: CharGraph) -> bool:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in g.neighbors(u):
+            for w in g._adj[u]:
                 if w not in color:
                     color[w] = 1 - color[u]
                     queue.append(w)
                 elif color[w] == color[u]:
                     return False
     return True
-
-
-def odd_cycle_triples(g: CharGraph) -> list[tuple[int, int, int]]:
-    """All 3-subsets of V(g) that induce a triangle in the complement of g."""
-    out = []
-    for t in combinations(g.vertices, 3):
-        if not any(g.has_edge(a, b) for a, b in combinations(t, 2)):
-            out.append(t)
-    return out
 
 
 def are_isomorphic(a: CharGraph, b: CharGraph) -> dict[int, int] | None:

@@ -1,12 +1,17 @@
 import json
 import math
+import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from chargraph import classify
 from chargraph.classify import (
     F_MAX,
     RadicalValidationError,
+    check_palfy,
+    check_solvable_shape,
     classify_f,
     scan_counterexamples,
     scan_lemma_evenfive,
@@ -15,7 +20,9 @@ from chargraph.classify import (
     synthetic_radical,
     verify_main,
 )
-from chargraph.graphs import DegreeSet
+from chargraph.degrees import graph_psl2
+from chargraph.graphs import CharGraph, DegreeSet, complement, is_bipartite
+from conftest import PRIMES, random_chargraph
 
 CASE_FS = {"I": (2, 3), "II": (6, 9, 11, 23), "III": (14, 15, 21, 27, 29, 47, 53)}
 
@@ -97,3 +104,57 @@ def test_f_scanners_match_the_factor_table():
     assert all(h.fields["sizes"] == list(COUNT_PAIRS[h.key]) for h in interest)
     evenfive = scan_lemma_evenfive(F_MAX)
     assert [h.key for h in evenfive] == [f for f, pair in COUNT_PAIRS.items() if pair == (2, 2)]
+
+
+def test_palfy_fails_exactly_on_the_independent_triples_of_psl2_32():
+    g = graph_psl2(32)
+    failing = [t for t in combinations(g.vertices, 3)
+               if not check_palfy(CharGraph(t, [e for e in g.edges if set(t).issuperset(e)]))]
+    assert failing == [(2, 3, 31), (2, 11, 31)]
+    assert not check_palfy(g)
+
+
+def test_palfy_on_complete_and_edgeless_graphs():
+    assert check_palfy(CharGraph(PRIMES[:7], combinations(PRIMES[:7], 2)))
+    assert check_palfy(CharGraph([2, 3]))
+    assert not check_palfy(CharGraph([2, 3, 5]))
+
+
+def test_failing_palfy_implies_a_non_bipartite_complement():
+    # An independent triple of g is a triangle in its complement.
+    rng = random.Random(777)
+    failing = 0
+    for _ in range(80):
+        g = random_chargraph(rng)
+        if not check_palfy(g):
+            failing += 1
+            assert not is_bipartite(complement(g))
+    assert failing > 0
+
+
+def test_palfy_does_not_imply_a_bipartite_complement():
+    # The complement of a 5-cycle is again a 5-cycle: no triangle in the
+    # complement, yet the complement is not bipartite.
+    five = CharGraph([2, 3, 5, 7, 11], [(2, 3), (3, 5), (5, 7), (7, 11), (2, 11)])
+    assert check_palfy(five)
+    assert not is_bipartite(complement(five))
+
+
+@pytest.mark.parametrize("check", [check_palfy, check_solvable_shape])
+def test_solvable_checks_are_bounded_at_12_vertices(check):
+    twelve = CharGraph(PRIMES)
+    assert len(PRIMES) == 12
+    check(twelve)
+    with pytest.raises(ValueError, match="^graph has 13 vertices; exhaustive search is bounded at 12$"):
+        check(CharGraph(PRIMES + (41,)))
+
+
+def test_palfy_checks_the_bound_before_building_the_complement(monkeypatch):
+    # The complement of an n-vertex graph has up to C(n, 2) edges, so building
+    # it before the bound check costs time and memory quadratic in n.
+    def no_complement(g):
+        raise AssertionError("complement built past the search bound")
+
+    monkeypatch.setattr(classify, "complement", no_complement)
+    with pytest.raises(ValueError, match="bounded at 12"):
+        check_palfy(CharGraph(PRIMES + (41,)))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargraph import cli
+from chargraph.arith import is_prime
 
 
 @pytest.mark.parametrize("argv,file_data", [
@@ -49,6 +50,39 @@ def test_oversized_shape_exits_2_with_one_line(argv, prefix, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+# Deeper than the JSON decoder can recurse.  Written as raw text, because
+# json.dumps of such a value recurses as well.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-solvable", "{file}"],
+    ["verify-main", "--f", "6", "--radical", "{file}"],
+    ["iso", '{"vertices": ' + "[" * 20_000 + "]" * 20_000 + "}", "K1"],
+    ["iso", "K1", "{file}"],
+], ids=["check-solvable-file", "radical-file", "iso-inline", "iso-file"])
+def test_deeply_nested_json_exits_2_with_one_line(argv, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    code = cli.main([a.replace("{file}", str(path)) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: JSON input is nested too deeply\n"
+
+
+@pytest.mark.parametrize("count", [13, 150])
+def test_check_solvable_past_the_search_bound_exits_2(count, tmp_path, capsys):
+    primes = [p for p in range(2, 1000) if is_prime(p)][:count]
+    path = tmp_path / "cd.json"
+    path.write_text(json.dumps([1] + primes))
+    code = cli.main(["check-solvable", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: graph has {count} vertices; exhaustive search is bounded at 12\n"
 
 
 # Generated argv for every verb, with arguments bounded to each verb's cheap

@@ -11,14 +11,11 @@ from chargraph.graphs import (
     DegreeSet,
     are_isomorphic,
     complement,
-    connected_components,
     disjoint_union,
     graph_from_cd,
-    induced,
     is_bipartite,
     is_kn_free,
     join,
-    odd_cycle_triples,
 )
 from conftest import PRIMES, random_chargraph
 from oracles import brute_isomorphic, brute_triangle
@@ -192,28 +189,6 @@ class TestComplement:
         assert brute_triangle(c.vertices, set(c.edges)) is not None
 
 
-class TestInduced:
-    def test_matches_adjacency(self):
-        square = join(edgeless([5, 11]), edgeless([7, 13]))
-        assert induced(square, {5, 7}).edges == ((5, 7),)
-        assert induced(square, {5, 11}).edges == ()
-
-    def test_empty_selection(self):
-        assert induced(complete_graph([2, 3]), set()) == CharGraph(())
-
-    def test_adjacent_pair_of_psl2_64(self):
-        assert induced(graph_psl2(64), {3, 7}) == complete_graph([3, 7])
-
-    def test_rejects_unknown_vertex(self):
-        with pytest.raises(ValueError):
-            induced(complete_graph([2, 3]), {5})
-
-    @settings(max_examples=50)
-    @given(char_graphs())
-    def test_full_induced_is_identity(self, g):
-        assert induced(g, g.vertices) == g
-
-
 class TestKnFree:
     def test_two_triangles_are_k4_free(self):
         g = disjoint_union(
@@ -250,20 +225,8 @@ class TestKnFree:
             n = rng.randint(2, 4)
             if not is_kn_free(g, n):
                 continue
-            subset = rng.sample(g.vertices, rng.randint(0, g.vertex_count))
-            assert is_kn_free(induced(g, subset), n)
-
-
-class TestConnectedComponents:
-    def test_psl2_64(self):
-        assert connected_components(graph_psl2(64)) == [(2,), (3, 7), (5, 13)]
-
-    def test_edgeless(self):
-        assert connected_components(edgeless([2, 3, 5])) == [(2,), (3,), (5,)]
-
-    def test_complete(self):
-        g = complete_graph(PRIMES[:7])
-        assert connected_components(g) == [tuple(PRIMES[:7])]
+            keep = set(rng.sample(g.vertices, rng.randint(0, g.vertex_count)))
+            assert is_kn_free(CharGraph(keep, [e for e in g.edges if keep.issuperset(e)]), n)
 
 
 class TestBipartite:
@@ -275,31 +238,6 @@ class TestBipartite:
 
     def test_complement_of_psl2_2_14(self):
         assert not is_bipartite(complement(graph_psl2(2**14)))
-
-
-class TestOddCycleTriples:
-    def test_psl2_32(self):
-        assert odd_cycle_triples(graph_psl2(32)) == [(2, 3, 31), (2, 11, 31)]
-
-    def test_complete_graph_has_none(self):
-        assert odd_cycle_triples(complete_graph(PRIMES[:7])) == []
-
-    def test_edgeless_triple(self):
-        assert odd_cycle_triples(edgeless([2, 3, 5])) == [(2, 3, 5)]
-
-    def test_triples_witness_nonbipartite_complement(self):
-        rng = random.Random(777)
-        for _ in range(80):
-            g = random_chargraph(rng)
-            if odd_cycle_triples(g):
-                assert not is_bipartite(complement(g))
-
-    def test_not_an_equivalence_five_cycle(self):
-        # The complement of a 5-cycle is again a 5-cycle: no triangle in the
-        # complement, yet the complement is not bipartite.
-        five = CharGraph([2, 3, 5, 7, 11], [(2, 3), (3, 5), (5, 7), (7, 11), (2, 11)])
-        assert odd_cycle_triples(five) == []
-        assert not is_bipartite(complement(five))
 
 
 class TestIsomorphism:
