@@ -114,8 +114,11 @@ def test_palfy_fails_exactly_on_the_independent_triples_of_psl2_32():
     assert not check_palfy(g)
 
 
-def test_palfy_on_complete_and_edgeless_graphs():
+def test_palfy_holds_on_a_complete_graph():
     assert check_palfy(CharGraph(PRIMES[:7], combinations(PRIMES[:7], 2)))
+
+
+def test_palfy_fails_on_an_edgeless_triple():
     assert check_palfy(CharGraph([2, 3]))
     assert not check_palfy(CharGraph([2, 3, 5]))
 
