@@ -23,7 +23,6 @@ from .graphs import (
     complement,
     disjoint_union,
     graph_from_cd,
-    is_bipartite,
     is_kn_free,
     join,
 )

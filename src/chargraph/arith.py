@@ -15,6 +15,8 @@ division would find nothing.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
+from itertools import count
 from math import gcd
 
 from ._value import Value
@@ -71,6 +73,11 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def primes() -> Iterator[int]:
+    """The primes 2, 3, 5, ... in increasing order."""
+    return filter(is_prime, count(2))
 
 
 def _pollard_rho(n: int) -> int:
@@ -244,8 +251,9 @@ def zsigmondy(base: int, n: int) -> int | None:
         raise ValueError("base must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    value = base**n - 1
-    _check_width(value)
+    # base^n >= 2^((bits - 1) n), so a power far past 2^64 is never built.
+    if (base.bit_length() - 1) * n > 64 or (value := base**n - 1) > U64_MAX:
+        raise OverflowError(f"{base}^{n} - 1 exceeds the supported 64-bit range")
     exponent_primes = factorize(n).primes
     for p in factorize(value).primes if value > 1 else ():
         # p is primitive iff the order of base mod p is exactly n, i.e. no

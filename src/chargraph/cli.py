@@ -66,16 +66,11 @@ def load_graph_argument(arg: str) -> CharGraph:
     return eval_shape(parse_shape(arg))
 
 
-def degree_set_from_json(data) -> DegreeSet:
-    """A degree set given as a JSON list or as {"degrees": [...]}."""
-    return DegreeSet(data) if isinstance(data, list) else DegreeSet.from_json(data)
-
-
 def load_radical(path: str) -> list[DegreeSet]:
     data = read_json(path)
     if not isinstance(data, list):
         raise ValueError("radical file must hold a JSON list of degree sets")
-    return [degree_set_from_json(entry) for entry in data]
+    return [DegreeSet.from_json(entry) for entry in data]
 
 
 def cmd_factor(args) -> int:
@@ -189,7 +184,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_check_solvable(args) -> int:
-    cd = degree_set_from_json(read_json(args.cd_file))
+    cd = DegreeSet.from_json(read_json(args.cd_file))
     g = graph_from_cd(cd)
     palfy = check_palfy(g)
     shape = check_solvable_shape(g)

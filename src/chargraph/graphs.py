@@ -8,7 +8,7 @@ always sorted so equal graphs print and serialize identically.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import combinations
 
@@ -104,8 +104,8 @@ class CharGraph:
             raise ValueError("every edge must be a pair of vertices")
         return cls(_int_list(data.get("vertices"), "vertices"), [tuple(e) for e in edges])
 
-    def to_dot(self, name: str = "delta") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph delta {"]
         for v in self._vertices:
             lines.append(f'  "{v}";')
         for a, b in self._edges:
@@ -130,21 +130,17 @@ class DegreeSet(Value):
     def __iter__(self) -> Iterator[int]:
         return iter(self.degrees)
 
-    def rho(self) -> set[int]:
-        """Primes dividing at least one degree."""
-        out: set[int] = set()
-        for d in self.degrees:
-            out |= prime_divisors(d)
-        return out
-
     def to_json(self) -> dict:
         return {"degrees": list(self.degrees)}
 
     @classmethod
-    def from_json(cls, data: dict) -> "DegreeSet":
-        if not isinstance(data, dict) or "degrees" not in data:
-            raise ValueError('a degree set must be a JSON object with a "degrees" list')
-        return cls(_int_list(data["degrees"], "degrees"))
+    def from_json(cls, data) -> "DegreeSet":
+        """A degree set given as a JSON list or as {"degrees": [...]}."""
+        if isinstance(data, dict) and "degrees" in data:
+            data = data["degrees"]
+        elif not isinstance(data, list):
+            raise ValueError('a degree set must be a JSON list or an object with a "degrees" list')
+        return cls(_int_list(data, "degrees"))
 
 
 def graph_from_cd(*factors: DegreeSet) -> CharGraph:
@@ -212,25 +208,6 @@ def is_kn_free(g: CharGraph, n: int) -> bool:
     for combo in combinations(g.vertices, n):
         if all(g.has_edge(a, b) for a, b in combinations(combo, 2)):
             return False
-    return True
-
-
-def is_bipartite(g: CharGraph) -> bool:
-    """Breadth-first 2-coloring."""
-    color: dict[int, int] = {}
-    for start in g.vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g._adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
     return True
 
 

@@ -15,10 +15,10 @@ character graphs.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import combinations, count
+from itertools import combinations
 
 from ._value import Value
-from .arith import is_prime
+from .arith import primes
 from .graphs import CharGraph, complement as graph_complement, disjoint_union, join as graph_join
 
 
@@ -177,10 +177,6 @@ def parse_shape(text: str) -> GraphExpr:
     return node
 
 
-def _prime_stream() -> Iterator[int]:
-    return (n for n in count(2) if is_prime(n))
-
-
 def _eval(expr: GraphExpr, labels: Iterator[int]) -> CharGraph:
     if isinstance(expr, Complete):
         vs = [next(labels) for _ in range(expr.n)]
@@ -215,7 +211,7 @@ def eval_shape(expr: GraphExpr) -> CharGraph:
     n = _leaf_vertices(expr)
     if n > MAX_VERTICES:
         raise ValueError(f"shape has {n} vertices; at most {MAX_VERTICES} are supported")
-    return _eval(expr, _prime_stream())
+    return _eval(expr, primes())
 
 
 def render_shape(expr: GraphExpr) -> str:

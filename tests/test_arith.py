@@ -302,6 +302,14 @@ class TestZsigmondy:
             zsigmondy(2, 65)
         with pytest.raises(OverflowError):
             zsigmondy(10, 20)
+        with pytest.raises(OverflowError):
+            zsigmondy(2**64 + 1, 1)
+
+    def test_top_of_the_range(self):
+        # base^n - 1 = 2^64 - 1 fits, although (bits(base) - 1) * n = 64.
+        assert zsigmondy(2, 64) == 641
+        assert zsigmondy(2**32, 2) == 641
+        assert zsigmondy(2**64, 1) == 3
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

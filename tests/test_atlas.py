@@ -4,7 +4,7 @@ graph of the networkx atlas (all 1,253 graphs on at most 7 vertices)."""
 import pytest
 
 from chargraph.classify import check_palfy, check_solvable_shape
-from chargraph.graphs import CharGraph, complement, is_bipartite, is_kn_free
+from chargraph.graphs import CharGraph, is_kn_free
 
 nx = pytest.importorskip("networkx")
 
@@ -70,5 +70,4 @@ def test_k4_free_seven_vertices_imply_non_bipartite_complement():
     # which is a K4 in the graph itself (see classify.verify_main).
     for g, c in ATLAS:
         if g.number_of_nodes() == 7 and is_kn_free(c, 4):
-            assert not is_bipartite(complement(c))
             assert not nx.is_bipartite(nx.complement(g))

@@ -85,6 +85,17 @@ def test_check_solvable_past_the_search_bound_exits_2(count, tmp_path, capsys):
     assert err == f"error: graph has {count} vertices; exhaustive search is bounded at 12\n"
 
 
+@pytest.mark.parametrize("base,n", [(3, 10_000_000), (2, 10_000_000_000), (2, 65)])
+def test_zsigmondy_past_u64_exits_2_with_one_line(base, n, capsys):
+    # The first two would build a power of millions of digits, or run out of
+    # memory, if the width were checked only after building base^n.
+    code = cli.main(["zsigmondy", str(base), str(n)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {base}^{n} - 1 exceeds the supported 64-bit range\n"
+
+
 # Generated argv for every verb, with arguments bounded to each verb's cheap
 # range; file arguments are written to a scratch file and "{file}" replaced.
 FORMATS = st.sampled_from(["json", "table"])
@@ -105,7 +116,8 @@ GRAPH_ARG = SHAPE_TEXT | st.fixed_dictionaries({
 VERBS = {
     "factor": st.tuples(FORMATS, NUMBERS.map(str)).map(lambda t: (["factor", "--format", t[0], t[1]], None)),
     "pi": st.tuples(FORMATS, NUMBERS.map(str)).map(lambda t: (["pi", "--format", t[0], t[1]], None)),
-    "zsigmondy": st.tuples(FORMATS, st.integers(-2, 12), SMALL).map(
+    "zsigmondy": st.tuples(FORMATS, st.integers(-2, 12) | st.integers(2, 2**64),
+                           SMALL | st.integers(-3, 10**12)).map(
         lambda t: (["zsigmondy", "--format", t[0], str(t[1]), str(t[2])], None)),
     "psl2-graph": st.tuples(GRAPH_FORMATS, st.integers(-2, 5000) | st.integers(2, 63).map(lambda k: 2**k)).map(
         lambda t: (["psl2-graph", "--format", t[0], str(t[1])], None)),

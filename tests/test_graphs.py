@@ -13,7 +13,6 @@ from chargraph.graphs import (
     complement,
     disjoint_union,
     graph_from_cd,
-    is_bipartite,
     is_kn_free,
     join,
 )
@@ -83,11 +82,13 @@ class TestDegreeSet:
         assert DegreeSet([5, 1, 5, 3]).degrees == (1, 3, 5)
 
     def test_rho(self):
-        assert DegreeSet([1, 12, 5]).rho() == {2, 3, 5}
+        # rho, the primes dividing some degree, is the vertex set of the graph.
+        assert graph_from_cd(DegreeSet([1, 12, 5])).vertices == (2, 3, 5)
 
     def test_json_round_trip(self):
         ds = DegreeSet([1, 5, 11])
         assert DegreeSet.from_json(ds.to_json()) == ds
+        assert DegreeSet.from_json([11, 1, 5]) == ds
 
 
 class TestGraphFromCd:
@@ -227,17 +228,6 @@ class TestKnFree:
                 continue
             keep = set(rng.sample(g.vertices, rng.randint(0, g.vertex_count)))
             assert is_kn_free(CharGraph(keep, [e for e in g.edges if keep.issuperset(e)]), n)
-
-
-class TestBipartite:
-    def test_square(self):
-        assert is_bipartite(CharGraph([2, 3, 5, 7], [(2, 3), (3, 5), (5, 7), (2, 7)]))
-
-    def test_triangle(self):
-        assert not is_bipartite(complete_graph([2, 3, 5]))
-
-    def test_complement_of_psl2_2_14(self):
-        assert not is_bipartite(complement(graph_psl2(2**14)))
 
 
 class TestIsomorphism:
