@@ -14,7 +14,7 @@ from itertools import islice
 
 from ._value import Value
 from .arith import factorize, is_prime, prime_divisors, primes
-from .degrees import cd_psl2, graph_psl2, prime_power
+from .degrees import graph_psl2, prime_power
 from .graphs import (
     CharGraph,
     DegreeSet,
@@ -23,6 +23,7 @@ from .graphs import (
     complement,
     graph_from_cd,
     is_kn_free,
+    join,
 )
 from .shapes import GraphExpr, eval_shape, parse_shape, render_shape
 
@@ -125,13 +126,12 @@ def _case_factor_count(report: CaseReport) -> int:
     return CASES[report.sizes][3]
 
 
-def _validate_radical(case: str, count: int, socle_primes: set[int], radical: list[DegreeSet]) -> list[str]:
+def _validate_radical(case: str, count: int, socle_primes: set[int], graphs: list[CharGraph]) -> list[str]:
     failures: list[str] = []
-    if count and len(radical) != count:
-        failures.append(f"case {case} needs exactly {count} radical factor(s), got {len(radical)}")
+    if count and len(graphs) != count:
+        failures.append(f"case {case} needs exactly {count} radical factor(s), got {len(graphs)}")
     seen: set[int] = set()
-    for i, factor in enumerate(radical):
-        graph = graph_from_cd(factor)
+    for i, graph in enumerate(graphs):
         rho = set(graph.vertices)
         overlap = rho & socle_primes
         if overlap:
@@ -152,8 +152,11 @@ def _validate_radical(case: str, count: int, socle_primes: set[int], radical: li
 
 
 def verify_main(f: int, radical: list[DegreeSet]) -> CaseReport:
-    """Build the product degree-set graph for f and a radical model and check
-    it: seven vertices, K4-free, and isomorphic to the case's expected shape.
+    """Build the graph of PSL2(2^f) times a radical model and check it: seven
+    vertices, K4-free, and isomorphic to the case's expected shape.
+
+    The graph is the join of the socle graph and each factor's graph, which
+    needs pairwise disjoint prime sets, so the radical is validated first.
 
     The theorem's third clause, a non-bipartite complement, is implied and
     not computed: a bipartite complement on seven vertices has a side of at
@@ -163,10 +166,11 @@ def verify_main(f: int, radical: list[DegreeSet]) -> CaseReport:
     """
     report = classify_f(f)
     count = _case_factor_count(report)
-    failures = _validate_radical(report.case, count, set(report.socle_graph.vertices), radical)
+    graphs = [graph_from_cd(factor) for factor in radical]
+    failures = _validate_radical(report.case, count, set(report.socle_graph.vertices), graphs)
     if failures:
         raise RadicalValidationError(failures)
-    delta = graph_from_cd(cd_psl2(2**f), *radical)
+    delta = join(report.socle_graph, *graphs)
     expected = eval_shape(report.expected_shape)
     ok = (
         delta.vertex_count == 7
@@ -297,8 +301,6 @@ def check_palfy(g: CharGraph) -> bool:
 
 def check_solvable_shape(g: CharGraph) -> bool:
     """Necessary condition for the graph of a solvable group: with at least
-    four vertices it contains a triangle or is a 4-cycle."""
-    if g.vertex_count <= 3 or not is_kn_free(g, 3):
-        return True
-    four_cycle = CharGraph([2, 3, 5, 7], [(2, 3), (3, 5), (5, 7), (2, 7)])
-    return are_isomorphic(g, four_cycle) is not None
+    four vertices it contains a triangle or is a 4-cycle.  A triangle-free
+    graph on four vertices with four edges is a 4-cycle."""
+    return g.vertex_count <= 3 or not is_kn_free(g, 3) or (g.vertex_count, g.edge_count) == (4, 4)

@@ -124,12 +124,12 @@ def cmd_iso(args) -> int:
     if args.format == "json":
         print(dumps({
             "isomorphic": mapping is not None,
-            "mapping": {str(k): v for k, v in mapping.items()} if mapping else None,
+            "mapping": None if mapping is None else {str(k): v for k, v in mapping.items()},
         }))
     elif mapping is None:
         print("not isomorphic")
     else:
-        print("isomorphic: " + " ".join(f"{k}->{mapping[k]}" for k in sorted(mapping)))
+        print(" ".join(["isomorphic:"] + [f"{k}->{mapping[k]}" for k in sorted(mapping)]))
     return 0 if mapping is not None else 1
 
 

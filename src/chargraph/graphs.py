@@ -143,25 +143,15 @@ class DegreeSet(Value):
         return cls(_int_list(data, "degrees"))
 
 
-def graph_from_cd(*factors: DegreeSet) -> CharGraph:
-    """The character graph of a degree set, or of a direct product of groups
-    with the given degree sets.
-
-    A degree of the product is one degree from each factor, and its prime
-    divisors are the union of theirs, pi(ab) = pi(a) | pi(b), so no product
-    is formed or factored.  Distinct primes p, q dividing the same degree d
-    satisfy pq | d, so each degree contributes a clique on its prime
-    divisors.
-    """
-    prime_sets = {frozenset()}
-    for cd in factors:
-        family = {frozenset(prime_divisors(d)) for d in cd}
-        prime_sets = {a | b for a in prime_sets for b in family}
+def graph_from_cd(cd: DegreeSet) -> CharGraph:
+    """The character graph of a degree set: distinct primes p, q dividing the
+    same degree d satisfy pq | d, so each degree adds a clique on its primes."""
     verts: set[int] = set()
     edges: set[tuple[int, int]] = set()
-    for ps in prime_sets:
+    for d in cd:
+        ps = sorted(prime_divisors(d))
         verts.update(ps)
-        edges.update(combinations(sorted(ps), 2))
+        edges.update(combinations(ps, 2))
     return CharGraph(verts, edges)
 
 
@@ -174,12 +164,19 @@ def _disjoint_vertices(gs: tuple[CharGraph, ...]) -> list[int]:
 
 
 def join(*gs: CharGraph) -> CharGraph:
-    """The disjoint union of the graphs plus every edge between two of them."""
+    """The disjoint union of the graphs plus every edge between two of them.
+
+    Delta(A x B) = Delta(A) * Delta(B) when the degrees of A and B have
+    disjoint prime sets.  Each part is paired with the parts before it, so
+    the cost is linear in the number of parts plus the edges made.
+    """
     verts = _disjoint_vertices(gs)
-    cross = [
-        (x, y) for i, a in enumerate(gs) for b in gs[i + 1 :] for x in a.vertices for y in b.vertices
-    ]
-    return CharGraph(verts, [e for g in gs for e in g.edges] + cross)
+    edges = [e for g in gs for e in g.edges]
+    before: list[int] = []
+    for g in gs:
+        edges += [(x, y) for x in before for y in g.vertices]
+        before += g.vertices
+    return CharGraph(verts, edges)
 
 
 def disjoint_union(*gs: CharGraph) -> CharGraph:

@@ -27,6 +27,31 @@ def trial_prime_divisors(n: int) -> set[int]:
     return {p for p, _ in trial_factorize(n)}
 
 
+def cliques(*parts) -> set[tuple[int, int]]:
+    """The sorted pairs within each part."""
+    return {pair for part in parts for pair in combinations(sorted(part), 2)}
+
+
+def component_psl2_graph(q: int) -> tuple[set[int], set[tuple[int, int]]]:
+    """Vertices and edges of the character graph of PSL2(q), q = p^f >= 4,
+    from its component structure (White, "Degree graphs of simple groups").
+
+    Even q: complete components {2}, pi(q-1), pi(q+1).  Odd q > 5: {p}
+    isolated, 2 adjacent to every other prime, and the odd parts of pi(q-1),
+    pi(q+1) two complete graphs with no edge between them.  When q-1 or q+1
+    is a power of 2 one odd part is empty, so pi(q^2 - 1) is one complete
+    component.  PSL2(5) and PSL2(4) share one graph.
+    """
+    if q == 5:
+        return component_psl2_graph(4)
+    [(p, _f)] = trial_factorize(q)
+    below, above = trial_prime_divisors(q - 1), trial_prime_divisors(q + 1)
+    if q % 2 == 0:
+        return {2} | below | above, cliques(below, above)
+    odd_below, odd_above = below - {2}, above - {2}
+    return {p} | below | above, cliques(odd_below, odd_above) | {(2, x) for x in odd_below | odd_above}
+
+
 def trial_is_prime(n: int) -> bool:
     if n < 2:
         return False

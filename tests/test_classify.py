@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from chargraph import classify
+from chargraph import classify, graphs
+from chargraph.arith import prime_divisors
 from chargraph.classify import (
     F_MAX,
     RadicalValidationError,
@@ -31,14 +32,25 @@ CASE_FS = {"I": (2, 3), "II": (6, 9, 11, 23), "III": (14, 15, 21, 27, 29, 47, 53
 def test_verify_main_accepts_the_synthetic_radical(case, f, monkeypatch):
     # The non-bipartite complement clause is implied by seven vertices and
     # K4-freeness (tests/test_atlas.py), so verify_main builds no complement.
+    # The socle's primes come from the cached classify_f report, so it
+    # factors each radical degree once and no degree of PSL2(2^f).
     def no_complement(g):
         raise AssertionError("verify_main built a complement")
 
+    radical = synthetic_radical(f)
+    factored = []
+
+    def recording(n):
+        factored.append(n)
+        return prime_divisors(n)
+
     monkeypatch.setattr(classify, "complement", no_complement)
-    report = verify_main(f, synthetic_radical(f))
+    monkeypatch.setattr(graphs, "prime_divisors", recording)
+    report = verify_main(f, radical)
     assert report.case == case
     assert report.verified is True
     assert report.product_graph.vertex_count == 7
+    assert sorted(factored) == sorted(d for factor in radical for d in factor)
 
 
 def test_verify_main_accepts_a_radical_with_large_primes():
@@ -102,6 +114,17 @@ def test_factor_table_checks_itself():
 
 def test_classify_f_sizes_match_the_factor_table():
     assert {f: classify_f(f).sizes for f in COUNT_PAIRS} == COUNT_PAIRS
+
+
+def test_classify_f_socle_graph_matches_the_factor_table():
+    # The graph of PSL2(2^f): K1 on {2} plus a clique on pi(2^f - 1) and one
+    # on pi(2^f + 1), the two cliques read off the frozen factor table.
+    for f, minus, plus in FACTOR_TABLE:
+        cliques = [{p for p, _ in minus}, {p for p, _ in plus}]
+        vertices = {2}.union(*cliques)
+        edges = {e for c in cliques for e in combinations(sorted(c), 2)}
+        g = classify_f(f).socle_graph
+        assert (set(g.vertices), set(g.edges)) == (vertices, edges), f
 
 
 def test_f_scanners_match_the_factor_table():

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +98,26 @@ def test_zsigmondy_past_u64_exits_2_with_one_line(base, n, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: {base}^{n} - 1 exceeds the supported 64-bit range\n"
+
+
+@pytest.mark.parametrize("fmt,expected", [
+    ("json", '{"isomorphic":true,"mapping":{}}\n'),
+    ("table", "isomorphic:\n"),
+])
+def test_iso_of_two_empty_graphs_prints_the_empty_mapping(fmt, expected, capsys):
+    code = cli.main(["iso", "--format", fmt, "K0", "K0"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_join_of_many_empty_parts_is_fast():
+    # K0 has no vertices, so the shape's vertex cap does not bound the number
+    # of parts, and join must stay linear in it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "chargraph.cli", "parse-shape", " * ".join(["K0"] * 16_000)]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5, check=True)
+    assert out.stdout == '{"edges":[],"vertices":[]}\n'
 
 
 # Generated argv for every verb, with arguments bounded to each verb's cheap

@@ -282,3 +282,15 @@ class TestProductJoinDuality:
             b = DegreeSet([1] + [rng.choice(pool_b) * rng.choice(pool_b) for _ in range(rng.randint(1, 3))])
             product = DegreeSet([x * y for x in a for y in b])
             assert graph_from_cd(product) == join(graph_from_cd(a), graph_from_cd(b))
+
+    def test_three_factors_one_of_them_trivial(self):
+        # verify_main joins the socle graph with one graph per radical
+        # factor, abelian factors {1} included.
+        rng = random.Random(626262)
+        pools = ([2, 3, 5], [7, 11, 13], [17, 19, 23])
+        for _ in range(100):
+            factors = [DegreeSet([1] + [rng.choice(pool) * rng.choice(pool) for _ in range(rng.randint(1, 3))])
+                       for pool in pools]
+            factors[rng.randrange(3)] = DegreeSet([1])
+            product = DegreeSet([x * y * z for x in factors[0] for y in factors[1] for z in factors[2]])
+            assert graph_from_cd(product) == join(*(graph_from_cd(f) for f in factors))
