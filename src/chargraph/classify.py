@@ -83,9 +83,9 @@ class CaseReport(Value):
         }
 
 
-def _check_f(f: int, name: str) -> None:
-    if not 2 <= f <= F_MAX:
-        raise ValueError(f"{name} must be in [2, {F_MAX}], got {f}")
+def _check_range(value: int, name: str, low: int = 2, high: int = F_MAX) -> None:
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
 
 
 def classify_f(f: int) -> CaseReport:
@@ -96,7 +96,7 @@ def classify_f(f: int) -> CaseReport:
     F_MAX - 1 values, and verify_main and the scanners ask for the same f
     again.  A bad f raises and is not kept.
     """
-    _check_f(f, "f")
+    _check_range(f, "f")
     return _classify(f)
 
 
@@ -219,7 +219,7 @@ def scan_lemma_interest(f_max: int) -> list[ScanHit]:
     (f prime >= 5, 2^f - 1 prime, 2^f + 1 = 3 t^beta with beta odd).
     Anything else is flagged as a counterexample.
     """
-    _check_f(f_max, "f_max")
+    _check_range(f_max, "f_max")
     hits: list[ScanHit] = []
     for f in range(2, f_max + 1):
         q = 2**f
@@ -244,7 +244,7 @@ def scan_lemma_interest(f_max: int) -> list[ScanHit]:
 def scan_lemma_evenfive(f_max: int) -> list[ScanHit]:
     """All f in [2, f_max] with both counts 2; conforming iff f is prime or
     f is 6 or 9."""
-    _check_f(f_max, "f_max")
+    _check_range(f_max, "f_max")
     hits: list[ScanHit] = []
     for f in range(2, f_max + 1):
         if classify_f(f).sizes != (2, 2):
@@ -264,8 +264,7 @@ def scan_lemma_oddfour(q_max: int) -> list[ScanHit]:
     """All odd prime powers q <= q_max with exactly 3 primes dividing
     q^2 - 1, assigned to q in {25, 49, 81}, (p = 3, f an odd prime), or
     (p >= 11, f = 1)."""
-    if not 3 <= q_max <= Q_ODD_MAX:
-        raise ValueError(f"q_max must be in [3, {Q_ODD_MAX}]")
+    _check_range(q_max, "q_max", 3, Q_ODD_MAX)
     hits: list[ScanHit] = []
     for q in range(3, q_max + 1, 2):
         pf = prime_power(q)

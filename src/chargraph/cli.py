@@ -1,5 +1,11 @@
 """Command-line front end.
 
+Each verb's cmd_* function computes its result and returns (exit code,
+data, table text); it writes nothing.  main alone writes stdout, in the one
+format asked for: json is dumps(data), dot (offered by the two graph verbs)
+is data.to_dot(), and table is the table text.  An error a verb raises is
+written to stderr as one line.
+
 Exit codes: 0 success, 1 a verification verb found a failure (a scanner
 counterexample, a failed isomorphism, verified = false), 2 usage or parse
 errors.  Output is deterministic byte for byte for identical inputs.
@@ -31,17 +37,13 @@ from .shapes import ShapeSyntaxError, eval_shape, parse_shape, render_shape
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """obj as compact JSON with sorted keys; a value object stands for its to_json()."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=lambda v: v.to_json())
 
 
-def emit_graph(g: CharGraph, fmt: str) -> str:
-    if fmt == "json":
-        return dumps(g.to_json())
-    if fmt == "dot":
-        return g.to_dot()
-    lines = ["vertices: " + " ".join(str(v) for v in g.vertices)]
-    lines.append("edges: " + (" ".join(f"{a}-{b}" for a, b in g.edges) or "(none)"))
-    return "\n".join(lines)
+def graph_table(g: CharGraph) -> str:
+    edges = " ".join(f"{a}-{b}" for a, b in g.edges) or "(none)"
+    return f"vertices: {' '.join(str(v) for v in g.vertices)}\nedges: {edges}"
 
 
 def parse_json(text: str):
@@ -73,88 +75,58 @@ def load_radical(path: str) -> list[DegreeSet]:
     return [DegreeSet.from_json(entry) for entry in data]
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args) -> tuple[int, object, str]:
     fac = factorize(args.n)
-    if args.format == "json":
-        print(dumps({"n": fac.n, "factors": [list(p) for p in fac.factors]}))
-    else:
-        body = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in fac.factors) or "1"
-        print(f"{fac.n} = {body}")
-    return 0
+    body = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in fac.factors) or "1"
+    return 0, {"n": fac.n, "factors": [list(p) for p in fac.factors]}, f"{fac.n} = {body}"
 
 
-def cmd_pi(args) -> int:
+def cmd_pi(args) -> tuple[int, object, str]:
     primes = sorted(prime_divisors(args.n))
-    if args.format == "json":
-        print(dumps({"n": args.n, "primes": primes}))
-    else:
-        print(" ".join(str(p) for p in primes) or "(none)")
-    return 0
+    return 0, {"n": args.n, "primes": primes}, " ".join(str(p) for p in primes) or "(none)"
 
 
-def cmd_zsigmondy(args) -> int:
+def cmd_zsigmondy(args) -> tuple[int, object, str]:
     p = zsigmondy(args.base, args.n)
-    if args.format == "json":
-        print(dumps({"base": args.base, "n": args.n, "prime": p}))
-    else:
-        print("none" if p is None else str(p))
-    return 0
+    return 0, {"base": args.base, "n": args.n, "prime": p}, "none" if p is None else str(p)
 
 
-def cmd_psl2_graph(args) -> int:
-    print(emit_graph(graph_psl2(args.q), args.format))
-    return 0
+def cmd_psl2_graph(args) -> tuple[int, object, str]:
+    g = graph_psl2(args.q)
+    return 0, g, graph_table(g)
 
 
-def cmd_parse_shape(args) -> int:
+def cmd_parse_shape(args) -> tuple[int, object, str]:
     expr = parse_shape(args.expr)
     g = eval_shape(expr)
-    if args.format == "table":
-        print(f"shape: {render_shape(expr)}")
-        print(emit_graph(g, "table"))
-    else:
-        print(emit_graph(g, args.format))
-    return 0
+    return 0, g, f"shape: {render_shape(expr)}\n{graph_table(g)}"
 
 
-def cmd_iso(args) -> int:
+def cmd_iso(args) -> tuple[int, object, str]:
     a = load_graph_argument(args.first)
     b = load_graph_argument(args.second)
     mapping = are_isomorphic(a, b)
-    if args.format == "json":
-        print(dumps({
-            "isomorphic": mapping is not None,
-            "mapping": None if mapping is None else {str(k): v for k, v in mapping.items()},
-        }))
-    elif mapping is None:
-        print("not isomorphic")
-    else:
-        print(" ".join(["isomorphic:"] + [f"{k}->{mapping[k]}" for k in sorted(mapping)]))
-    return 0 if mapping is not None else 1
+    if mapping is None:
+        return 1, {"isomorphic": False, "mapping": None}, "not isomorphic"
+    data = {"isomorphic": True, "mapping": {str(k): v for k, v in mapping.items()}}
+    return 0, data, " ".join(["isomorphic:"] + [f"{k}->{mapping[k]}" for k in sorted(mapping)])
 
 
-def cmd_classify_f(args) -> int:
+def cmd_classify_f(args) -> tuple[int, object, str]:
     report = classify_f(args.f)
-    if args.format == "json":
-        print(dumps(report.to_json()))
-    else:
-        print(f"f = {report.f}: sizes {report.sizes}, case {report.case or 'None'}")
-        print(f"radical: {report.required_radical}")
-        if report.expected_shape:
-            print(f"expected shape: {render_shape(report.expected_shape)}")
-    return 0
+    lines = [f"f = {report.f}: sizes {report.sizes}, case {report.case or 'None'}",
+             f"radical: {report.required_radical}"]
+    if report.expected_shape:
+        lines.append(f"expected shape: {render_shape(report.expected_shape)}")
+    return 0, report, "\n".join(lines)
 
 
-def cmd_verify_main(args) -> int:
+def cmd_verify_main(args) -> tuple[int, object, str]:
     radical = load_radical(args.radical) if args.radical else synthetic_radical(args.f)
     report = verify_main(args.f, radical)
-    if args.format == "json":
-        print(dumps(report.to_json()))
-    else:
-        status = "verified" if report.verified else "FAILED"
-        print(f"f = {report.f}: case {report.case}, {status}")
-        print(emit_graph(report.product_graph, "table"))
-    return 0 if report.verified else 1
+    status = "verified" if report.verified else "FAILED"
+    table = f"f = {report.f}: case {report.case}, {status}\n{graph_table(report.product_graph)}"
+    return (0 if report.verified else 1), report, table
 
 
 _SCANNERS = {
@@ -164,36 +136,23 @@ _SCANNERS = {
 }
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[int, object, str]:
     scanner, default_max = _SCANNERS[args.which]
     bound = args.max if args.max is not None else default_max
     hits = scanner(bound)
     bad = scan_counterexamples(hits)
-    if args.format == "json":
-        print(dumps({
-            "scan": args.which,
-            "max": bound,
-            "hits": [h.to_json() for h in hits],
-            "counterexamples": [h.to_json() for h in bad],
-        }))
-    else:
-        for h in hits:
-            print(f"{h.key:>6}  {h.clause or 'COUNTEREXAMPLE':<16} {h.detail}".rstrip())
-        print(f"{len(hits)} hit(s), {len(bad)} counterexample(s)")
-    return 1 if bad else 0
+    lines = [f"{h.key:>6}  {h.clause or 'COUNTEREXAMPLE':<16} {h.detail}".rstrip() for h in hits]
+    lines.append(f"{len(hits)} hit(s), {len(bad)} counterexample(s)")
+    data = {"scan": args.which, "max": bound, "hits": hits, "counterexamples": bad}
+    return (1 if bad else 0), data, "\n".join(lines)
 
 
-def cmd_check_solvable(args) -> int:
-    cd = DegreeSet.from_json(read_json(args.cd_file))
-    g = graph_from_cd(cd)
+def cmd_check_solvable(args) -> tuple[int, object, str]:
+    g = graph_from_cd(DegreeSet.from_json(read_json(args.cd_file)))
     palfy = check_palfy(g)
     shape = check_solvable_shape(g)
-    if args.format == "json":
-        print(dumps({"graph": g.to_json(), "palfy": palfy, "solvable_shape": shape}))
-    else:
-        print(f"palfy: {'pass' if palfy else 'fail'}")
-        print(f"solvable shape: {'pass' if shape else 'fail'}")
-    return 0 if palfy and shape else 1
+    table = f"palfy: {'pass' if palfy else 'fail'}\nsolvable shape: {'pass' if shape else 'fail'}"
+    return (0 if palfy and shape else 1), {"graph": g, "palfy": palfy, "solvable_shape": shape}, table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,17 +209,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, data, text = args.func(args)
+        if args.format == "json":
+            text = dumps(data)
+        elif args.format == "dot":
+            text = data.to_dot()
+        print(text)
+        return code
     except ShapeSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
     except RadicalValidationError as exc:
         print(f"invalid radical: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError, KeyError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

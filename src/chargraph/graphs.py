@@ -119,8 +119,8 @@ class DegreeSet(Value):
 
     __slots__ = ("degrees",)
 
-    def __init__(self, degrees: Iterable[int]) -> None:
-        ds = tuple(sorted(set(_int_list(tuple(degrees), "degrees"))))
+    def __init__(self, degrees: list[int] | tuple[int, ...]) -> None:
+        ds = tuple(sorted(set(_int_list(degrees, "degrees"))))
         if not ds or ds[0] < 1:
             raise ValueError("degrees must be positive integers")
         if 1 not in ds:
@@ -130,9 +130,6 @@ class DegreeSet(Value):
     def __iter__(self) -> Iterator[int]:
         return iter(self.degrees)
 
-    def to_json(self) -> dict:
-        return {"degrees": list(self.degrees)}
-
     @classmethod
     def from_json(cls, data) -> "DegreeSet":
         """A degree set given as a JSON list or as {"degrees": [...]}."""
@@ -140,7 +137,7 @@ class DegreeSet(Value):
             data = data["degrees"]
         elif not isinstance(data, list):
             raise ValueError('a degree set must be a JSON list or an object with a "degrees" list')
-        return cls(_int_list(data, "degrees"))
+        return cls(data)
 
 
 def graph_from_cd(cd: DegreeSet) -> CharGraph:

@@ -39,6 +39,26 @@ def test_malformed_input_exits_2_with_one_line(argv, file_data, tmp_path, capsys
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["check-solvable", "{file}"], '{"degrees": [1, 6\n', "Expecting ',' delimiter: line 2 column 1 (char 18)"),
+    (["iso", '{"vertices": [2', "K1"], None, "Expecting ',' delimiter: line 1 column 16 (char 15)"),
+], ids=["json-file", "inline-graph"])
+def test_malformed_json_exits_2_with_one_line(argv, text, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text or "")
+    code = cli.main([a.replace("{file}", str(path)) for a in argv])
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["scan", "oddfour", "--max", "2"], "q_max must be in [3, 100000], got 2"),
+    (["scan", "interest", "--max", "64"], "f_max must be in [2, 63], got 64"),
+], ids=["oddfour", "interest"])
+def test_scanner_bound_out_of_range_exits_2_with_one_line(argv, message, capsys):
+    code = cli.main(argv)
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
 DEEP = "(" * 400 + "K1" + ")" * 400
 
 

