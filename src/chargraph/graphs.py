@@ -4,6 +4,15 @@ The graph of a degree set has a vertex for every prime dividing some degree
 and an edge {p, q} whenever the product pq divides some degree.  All values
 are immutable; operations return new graphs.  Vertex and edge listings are
 always sorted so equal graphs print and serialize identically.
+
+Vertices are certified prime at the boundary only: the public CharGraph
+constructor and CharGraph.from_json run Miller-Rabin on every vertex and
+reject self-loops and edges leaving the vertex set.  The builders inside
+the package (graph_from_cd, join, disjoint_union, complement and the shape
+leaves) take their vertices from factorize, from arith.primes() or from an
+existing CharGraph, so they are proven primes already; those builders go
+through CharGraph._trusted and skip the test, which tests/test_graphs.py
+pays for instead by re-certifying their output.
 """
 
 from __future__ import annotations
@@ -31,29 +40,46 @@ def _int_list(values, what: str) -> list[int]:
 
 
 class CharGraph:
-    """An immutable simple graph on prime-number vertices."""
+    """An immutable simple graph on prime-number vertices.
+
+    CharGraph(vertices, edges) and from_json certify their input: every
+    vertex prime, no self-loop, no edge outside the vertex set.  _trusted
+    builds from values the package has already proven and checks nothing.
+    Both end in _build, the one place a graph is assembled.
+    """
 
     __slots__ = ("_vertices", "_edges", "_adj")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> None:
-        vs = sorted(set(vertices))
-        for v in vs:
+        vs = set(vertices)
+        for v in sorted(vs):
             if not is_prime(v):
                 raise ValueError(f"vertex {v} is not prime")
-        vset = set(vs)
-        es = set()
-        for a, b in edges:
+        es = list(edges)
+        for a, b in es:
             if a == b:
                 raise ValueError(f"self-loop at {a}")
-            if a not in vset or b not in vset:
+            if a not in vs or b not in vs:
                 raise ValueError(f"edge ({a}, {b}) has an endpoint outside the vertex set")
-            es.add((a, b) if a < b else (b, a))
-        self._vertices: tuple[int, ...] = tuple(vs)
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(es))
+        self._build(vs, es)
+
+    @classmethod
+    def _trusted(cls, vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> "CharGraph":
+        """A graph on vertices already proven prime, with edges already known
+        to join two distinct of them; nothing is checked."""
+        g = cls.__new__(cls)
+        g._build(vertices, edges)
+        return g
+
+    def _build(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> None:
+        vs = tuple(sorted(set(vertices)))
+        es = tuple(sorted({(a, b) if a < b else (b, a) for a, b in edges}))
         adj: dict[int, set[int]] = {v: set() for v in vs}
-        for a, b in self._edges:
+        for a, b in es:
             adj[a].add(b)
             adj[b].add(a)
+        self._vertices: tuple[int, ...] = vs
+        self._edges: tuple[tuple[int, int], ...] = es
         self._adj = adj
 
     @property
@@ -142,14 +168,22 @@ class DegreeSet(Value):
 
 def graph_from_cd(cd: DegreeSet) -> CharGraph:
     """The character graph of a degree set: distinct primes p, q dividing the
-    same degree d satisfy pq | d, so each degree adds a clique on its primes."""
+    same degree d satisfy pq | d, so each degree adds a clique on its primes.
+
+    A degree d whose double 2d is also a degree is not factored: its primes
+    and their clique lie inside those of 2d.  For odd q this skips the
+    degree (q + eps)/2 of PSL2(q).
+    """
+    degrees = set(cd.degrees)
     verts: set[int] = set()
     edges: set[tuple[int, int]] = set()
     for d in cd:
+        if 2 * d in degrees:
+            continue
         ps = sorted(prime_divisors(d))
         verts.update(ps)
         edges.update(combinations(ps, 2))
-    return CharGraph(verts, edges)
+    return CharGraph._trusted(verts, edges)
 
 
 def _disjoint_vertices(gs: tuple[CharGraph, ...]) -> list[int]:
@@ -173,17 +207,17 @@ def join(*gs: CharGraph) -> CharGraph:
     for g in gs:
         edges += [(x, y) for x in before for y in g.vertices]
         before += g.vertices
-    return CharGraph(verts, edges)
+    return CharGraph._trusted(verts, edges)
 
 
 def disjoint_union(*gs: CharGraph) -> CharGraph:
     """The union of graphs on pairwise disjoint vertex sets."""
-    return CharGraph(_disjoint_vertices(gs), [e for g in gs for e in g.edges])
+    return CharGraph._trusted(_disjoint_vertices(gs), [e for g in gs for e in g.edges])
 
 
 def complement(g: CharGraph) -> CharGraph:
     edges = [e for e in combinations(g.vertices, 2) if not g.has_edge(*e)]
-    return CharGraph(g.vertices, edges)
+    return CharGraph._trusted(g.vertices, edges)
 
 
 def _check_search_bound(g: CharGraph) -> None:
@@ -195,14 +229,29 @@ def _check_search_bound(g: CharGraph) -> None:
 
 
 def is_kn_free(g: CharGraph, n: int) -> bool:
-    """True iff g has no clique on n vertices (checked exhaustively)."""
+    """True iff g has no clique on n vertices.
+
+    Cliques grow through adjacency sets: a clique extends only with later
+    vertices adjacent to all of its members, so every clique is reached
+    once, in sorted vertex order, and the answer is that of the exhaustive
+    search over all n-subsets.
+    """
     if n < 2:
         raise ValueError("clique size must be >= 2")
     _check_search_bound(g)
-    for combo in combinations(g.vertices, n):
-        if all(g.has_edge(a, b) for a, b in combinations(combo, 2)):
-            return False
-    return True
+    return not _has_clique(g._adj, g.vertices, n)
+
+
+def _has_clique(adj: dict[int, set[int]], candidates: tuple[int, ...] | list[int], k: int) -> bool:
+    """True iff the sorted candidates, all adjacent to the clique built so
+    far, hold k pairwise adjacent vertices."""
+    if k == 0:
+        return True
+    for i in range(len(candidates) - k + 1):
+        near = adj[candidates[i]]
+        if _has_clique(adj, [w for w in candidates[i + 1:] if w in near], k - 1):
+            return True
+    return False
 
 
 def are_isomorphic(a: CharGraph, b: CharGraph) -> dict[int, int] | None:

@@ -180,10 +180,10 @@ def parse_shape(text: str) -> GraphExpr:
 def _eval(expr: GraphExpr, labels: Iterator[int]) -> CharGraph:
     if isinstance(expr, Complete):
         vs = [next(labels) for _ in range(expr.n)]
-        return CharGraph(vs, combinations(vs, 2))
+        return CharGraph._trusted(vs, combinations(vs, 2))
     if isinstance(expr, Cycle):
         vs = [next(labels) for _ in range(expr.n)]
-        return CharGraph(vs, [(vs[i], vs[(i + 1) % expr.n]) for i in range(expr.n)])
+        return CharGraph._trusted(vs, [(vs[i], vs[(i + 1) % expr.n]) for i in range(expr.n)])
     if isinstance(expr, Complement):
         return graph_complement(_eval(expr.inner, labels))
     if isinstance(expr, Union):

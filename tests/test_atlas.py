@@ -57,6 +57,13 @@ def test_is_k4_free_matches_networkx():
     assert [is_kn_free(c, 4) for _, c in ATLAS] == [nx_kn_free(g, 4) for g, _ in ATLAS]
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_is_kn_free_matches_networkx(n):
+    # The neighbourhood search against networkx's maximal cliques, for
+    # every clique size up to one past the atlas's 7 vertices.
+    assert [is_kn_free(c, n) for _, c in ATLAS] == [nx_kn_free(g, n) for g, _ in ATLAS]
+
+
 def test_seven_vertex_counts():
     seven = [c for g, c in ATLAS if g.number_of_nodes() == 7]
     k4_free = [c for c in seven if is_kn_free(c, 4)]

@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from chargraph import graphs
 from chargraph.degrees import cd_psl2, graph_psl2
 from oracles import component_psl2_graph, trial_is_prime
 
@@ -31,6 +32,16 @@ def test_psl2_graph_matches_degree_set_graph():
     assert len(qs) == 2326
     mismatches = [q for q in qs if psl2_graph_sets(q) != component_psl2_graph(q)]
     assert mismatches == []
+
+
+def test_graph_psl2_skips_the_half_degree(monkeypatch):
+    # cd(PSL2(9973)) = {1, 4987, 9972, 9973, 9974}; the primes of 4987 are
+    # among those of 9974 = 2 * 4987, so 4987 is never factored.
+    factored = []
+    original = graphs.prime_divisors
+    monkeypatch.setattr(graphs, "prime_divisors", lambda n: factored.append(n) or original(n))
+    graph_psl2(9973)
+    assert sorted(factored) == [1, 9972, 9973, 9974]
 
 
 def psl2_multiplicities(q: int) -> dict[int, int]:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargraph import graphs
+from chargraph.classify import F_MAX, check_palfy, classify_f, synthetic_radical, verify_main
 from chargraph.degrees import graph_psl2
 from chargraph.graphs import (
     CharGraph,
@@ -16,8 +18,9 @@ from chargraph.graphs import (
     is_kn_free,
     join,
 )
-from conftest import PRIMES, random_chargraph
-from oracles import brute_isomorphic, brute_triangle
+from chargraph.shapes import eval_shape, parse_shape
+from conftest import PRIMES, random_chargraph, random_shape_expr
+from oracles import brute_isomorphic, brute_triangle, cliques, trial_is_prime, trial_prime_divisors
 
 
 @st.composite
@@ -294,3 +297,87 @@ class TestProductJoinDuality:
             factors[rng.randrange(3)] = DegreeSet([1])
             product = DegreeSet([x * y * z for x in factors[0] for y in factors[1] for z in factors[2]])
             assert graph_from_cd(product) == join(*(graph_from_cd(f) for f in factors))
+
+
+def degree_sets():
+    """Random degree sets, some holding both d and 2d."""
+    degrees = st.lists(st.integers(1, 10**6), max_size=8)
+    return st.builds(lambda ds, double: DegreeSet([1] + ds + [2 * d for d in ds[:double]]),
+                     degrees, st.integers(0, 8))
+
+
+def prime_powers_to(hi: int) -> list[int]:
+    return sorted(p**k for p in range(2, hi + 1) if trial_is_prime(p)
+                  for k in range(1, hi.bit_length()) if 4 <= p**k <= hi)
+
+
+def split(g: CharGraph, rng: random.Random) -> tuple[CharGraph, CharGraph]:
+    """The subgraphs induced on a random vertex subset and on the rest."""
+    left = set(rng.sample(g.vertices, rng.randint(0, g.vertex_count)))
+    right = set(g.vertices) - left
+    return tuple(CharGraph(part, [e for e in g.edges if part.issuperset(e)]) for part in (left, right))
+
+
+def recertified(g: CharGraph) -> bool:
+    return CharGraph(g.vertices, g.edges) == g
+
+
+class Certified(Exception):
+    """Raised by a stand-in for graphs.is_prime."""
+
+
+class TestTrustedBuilders:
+    """The package's builders skip the vertex primality test; these tests
+    certify what they build with the public constructor instead."""
+
+    @settings(max_examples=150)
+    @given(degree_sets())
+    def test_graph_from_cd_recertifies_and_is_the_clique_union_of_all_degrees(self, cd):
+        # Skipping d when 2d is a degree must lose no vertex and no edge.
+        g = graph_from_cd(cd)
+        assert recertified(g)
+        assert (set(g.vertices), set(g.edges)) == (
+            set().union(*(trial_prime_divisors(d) for d in cd)),
+            cliques(*(trial_prime_divisors(d) for d in cd)),
+        )
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32))
+    def test_join_union_and_complement_recertify(self, seed):
+        rng = random.Random(seed)
+        g = random_chargraph(rng)
+        a, b = split(g, rng)
+        for built in (join(a, b), disjoint_union(a, b), complement(g), complement(a)):
+            assert recertified(built)
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32))
+    def test_shapes_recertify(self, seed):
+        assert recertified(eval_shape(random_shape_expr(random.Random(seed))))
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(prime_powers_to(5000)) | st.builds(lambda f: 2**f, st.integers(2, 63)))
+    def test_psl2_graphs_recertify(self, q):
+        assert recertified(graph_psl2(q))
+
+    def test_builders_never_test_primality(self, monkeypatch):
+        palfy_input = eval_shape(parse_shape("(K2 + K1 + K2) * K2^c"))
+
+        def refuse(n):
+            raise Certified(n)
+
+        monkeypatch.setattr(graphs, "is_prime", refuse)
+        case_fs = [f for f in range(2, F_MAX + 1) if classify_f(f).case]
+        assert len(case_fs) == 13
+        for f in case_fs:
+            assert verify_main(f, synthetic_radical(f)).verified
+        assert eval_shape(parse_shape("K256^c")).edge_count == 0
+        assert not check_palfy(palfy_input)
+        # The public constructor still certifies.
+        with pytest.raises(Certified):
+            CharGraph([2])
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="vertex 4 is not prime"):
+            CharGraph([4])
+        with pytest.raises(ValueError, match="vertex 4 is not prime"):
+            CharGraph.from_json({"vertices": [4], "edges": []})

@@ -164,9 +164,11 @@ class TestEval:
                 return 1 + nodes(expr.inner)
             return 1 + sum(nodes(p) for p in expr.parts)
 
+        # _build is the one construction point of both the public and the
+        # trusted constructor.
         built = []
-        original = CharGraph.__init__
-        monkeypatch.setattr(CharGraph, "__init__", lambda g, *a, **k: built.append(1) or original(g, *a, **k))
+        original = CharGraph._build
+        monkeypatch.setattr(CharGraph, "_build", lambda g, *a, **k: built.append(1) or original(g, *a, **k))
         expr = parse_shape(text)
         eval_shape(expr)
         assert len(built) == nodes(expr)
