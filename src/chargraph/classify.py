@@ -43,6 +43,9 @@ CASES = {
 }
 _NO_CASE = (None, None, "none (prime-divisor counts match no case)", 0)
 
+# Each case's expected graph, built once: the AST key is hashable, the graph immutable.
+_expected_graph = cache(eval_shape)
+
 
 class RadicalValidationError(ValueError):
     """A radical model does not fit the case; carries all failures found."""
@@ -171,7 +174,7 @@ def verify_main(f: int, radical: list[DegreeSet]) -> CaseReport:
     if failures:
         raise RadicalValidationError(failures)
     delta = join(report.socle_graph, *graphs)
-    expected = eval_shape(report.expected_shape)
+    expected = _expected_graph(report.expected_shape)
     ok = (
         delta.vertex_count == 7
         and is_kn_free(delta, 4)

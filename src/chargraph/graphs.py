@@ -1,9 +1,10 @@
 """Character graphs: finite simple graphs whose vertices are primes.
 
 The graph of a degree set has a vertex for every prime dividing some degree
-and an edge {p, q} whenever the product pq divides some degree.  All values
-are immutable; operations return new graphs.  Vertex and edge listings are
-always sorted so equal graphs print and serialize identically.
+and an edge {p, q} whenever the product pq divides some degree.  Graphs are
+immutable _value.Value records; operations return new graphs.  Vertex and
+edge listings are always sorted so equal graphs print and serialize
+identically.
 
 Vertices are certified prime at the boundary only: the public CharGraph
 constructor and CharGraph.from_json run Miller-Rabin on every vertex and
@@ -39,16 +40,18 @@ def _int_list(values, what: str) -> list[int]:
     return list(values)
 
 
-class CharGraph:
+class CharGraph(Value):
     """An immutable simple graph on prime-number vertices.
 
     CharGraph(vertices, edges) and from_json certify their input: every
     vertex prime, no self-loop, no edge outside the vertex set.  _trusted
     builds from values the package has already proven and checks nothing.
-    Both end in _build, the one place a graph is assembled.
+    Both end in _build, the one place a graph is assembled.  Value gives
+    equality, hashing and read-only fields over vertices and edges, and
+    copies and unpickles through the certifying constructor.
     """
 
-    __slots__ = ("_vertices", "_edges", "_adj")
+    __slots__ = ("vertices", "edges", "_adj")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> None:
         vs = set(vertices)
@@ -78,25 +81,20 @@ class CharGraph:
         for a, b in es:
             adj[a].add(b)
             adj[b].add(a)
-        self._vertices: tuple[int, ...] = vs
-        self._edges: tuple[tuple[int, int], ...] = es
-        self._adj = adj
+        object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "edges", es)
+        object.__setattr__(self, "_adj", adj)
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self._vertices
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+    def _field_values(self) -> tuple:
+        return self.vertices, self.edges
 
     @property
     def vertex_count(self) -> int:
-        return len(self._vertices)
+        return len(self.vertices)
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self.edges)
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -104,21 +102,13 @@ class CharGraph:
     def has_edge(self, a: int, b: int) -> bool:
         return b in self._adj.get(a, ())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CharGraph):
-            return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
-
-    def __hash__(self) -> int:
-        return hash((self._vertices, self._edges))
-
     def __repr__(self) -> str:
-        return f"CharGraph(vertices={list(self._vertices)}, edges={[list(e) for e in self._edges]})"
+        return f"CharGraph(vertices={list(self.vertices)}, edges={[list(e) for e in self.edges]})"
 
     def to_json(self) -> dict:
         return {
-            "vertices": list(self._vertices),
-            "edges": [list(e) for e in self._edges],
+            "vertices": list(self.vertices),
+            "edges": [list(e) for e in self.edges],
         }
 
     @classmethod
@@ -132,9 +122,9 @@ class CharGraph:
 
     def to_dot(self) -> str:
         lines = ["graph delta {"]
-        for v in self._vertices:
+        for v in self.vertices:
             lines.append(f'  "{v}";')
-        for a, b in self._edges:
+        for a, b in self.edges:
             lines.append(f'  "{a}" -- "{b}";')
         lines.append("}")
         return "\n".join(lines)
@@ -264,9 +254,11 @@ def are_isomorphic(a: CharGraph, b: CharGraph) -> dict[int, int] | None:
     _check_search_bound(b)
     if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
         return None
-    if sorted(a.degree(v) for v in a.vertices) != sorted(b.degree(v) for v in b.vertices):
+    deg_a = {v: a.degree(v) for v in a.vertices}
+    deg_b = {w: b.degree(w) for w in b.vertices}
+    if sorted(deg_a.values()) != sorted(deg_b.values()):
         return None
-    order = sorted(a.vertices, key=lambda v: (-a.degree(v), v))
+    order = sorted(a.vertices, key=lambda v: (-deg_a[v], v))
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
@@ -275,7 +267,7 @@ def are_isomorphic(a: CharGraph, b: CharGraph) -> dict[int, int] | None:
             return True
         v = order[i]
         for w in b.vertices:
-            if w in used or b.degree(w) != a.degree(v):
+            if w in used or deg_b[w] != deg_a[v]:
                 continue
             if all(a.has_edge(v, u) == b.has_edge(w, mapping[u]) for u in mapping):
                 mapping[v] = w

@@ -73,6 +73,23 @@ def brute_zsigmondy(base: int, n: int) -> int | None:
     return None
 
 
+def divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def zsigmondy_bounds(f: int) -> tuple[int, int]:
+    """Lower bounds on |pi(2^f - 1)| and |pi(2^f + 1)| by divisor counting.
+
+    Bang (1886) for base 2, Zsigmondy (1892) in general: 2^d - 1 has a
+    primitive prime, one of order exactly d mod it, for every d except 1
+    and 6.  A prime of order d divides 2^f - 1 iff d | f, and 2^f + 1 iff
+    d | 2f but not d | f; distinct d give distinct primes.
+    """
+    minus = sum(1 for d in divisors(f) if d not in (1, 6))
+    plus = sum(1 for d in divisors(2 * f) if f % d != 0 and d != 6)
+    return minus, plus
+
+
 def brute_triangle(vertices, edge_set) -> tuple | None:
     for t in combinations(sorted(vertices), 3):
         if all(tuple(sorted(pair)) in edge_set for pair in combinations(t, 2)):

@@ -1,13 +1,14 @@
 import json
 import math
 import random
+import sys
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from chargraph import classify, graphs
-from chargraph.arith import prime_divisors
+from chargraph.arith import prime_divisors, zsigmondy
 from chargraph.classify import (
     F_MAX,
     RadicalValidationError,
@@ -23,7 +24,9 @@ from chargraph.classify import (
 )
 from chargraph.degrees import graph_psl2
 from chargraph.graphs import CharGraph, DegreeSet
+from chargraph.shapes import eval_shape
 from conftest import PRIMES, random_chargraph
+from oracles import divisors, trial_is_prime, zsigmondy_bounds
 
 CASE_FS = {"I": (2, 3), "II": (6, 9, 11, 23), "III": (14, 15, 21, 27, 29, 47, 53)}
 
@@ -70,6 +73,25 @@ def test_verify_main_rejects_a_nonconforming_radical(f, radical, message):
         verify_main(f, [DegreeSet(ds) for ds in radical])
     assert str(info.value) == message
     assert info.value.failures == [message]
+
+
+def test_verify_main_evaluates_each_expected_shape_once():
+    # Two passes over the 13 case f need the three case shapes, once each.
+    runs = []
+
+    def count_eval_shape(frame, event, arg):
+        if event == "call" and frame.f_code is eval_shape.__code__:
+            runs.append(frame)
+
+    classify._expected_graph.cache_clear()
+    sys.setprofile(count_eval_shape)
+    try:
+        for _ in range(2):
+            for f in (f for fs in CASE_FS.values() for f in fs):
+                assert verify_main(f, synthetic_radical(f)).verified is True
+    finally:
+        sys.setprofile(None)
+    assert len(runs) <= 3
 
 
 def test_verify_main_rejects_f_without_a_case():
@@ -133,6 +155,56 @@ def test_f_scanners_match_the_factor_table():
     assert all(h.fields["sizes"] == list(COUNT_PAIRS[h.key]) for h in interest)
     evenfive = scan_lemma_evenfive(F_MAX)
     assert [h.key for h in evenfive] == [f for f, pair in COUNT_PAIRS.items() if pair == (2, 2)]
+
+
+def test_zsigmondy_settles_the_composite_branch_of_both_lemmas():
+    """Divisor counting alone leaves the lemmas' composite f inside F_MAX.
+
+    interest needs the two counts to sum to 3, evenfive needs both to be 2.
+    The bounds of oracles.zsigmondy_bounds sum to tau(2f) - 1 - [3 | f], so
+    those lemmas cap tau(2f) at 4 + [3 | f] and 5 + [3 | f].  A composite f
+    with a prime factor p >= 5 has tau(2f) >= 6, with equality only for
+    f = p^2 and f = 2p, which 3 does not divide.  So every composite f under
+    either cap is 2^a 3^b with (a + 2)(b + 1) <= 6, a divisor of 144, and
+    the range below holds them all.  Those the bounds leave open are each
+    scanned, so the composite branch holds for every f.
+
+    The prime-f branch of interest (2^f - 1 prime and 2^f + 1 = 3 t^beta,
+    beta odd) is not settled by Zsigmondy: it stays a scan to F_MAX = 63.
+    """
+    capped = []
+    for f in range(2, 3000):
+        tau = len(divisors(2 * f))
+        assert sum(zsigmondy_bounds(f)) == tau - 1 - (f % 3 == 0), f
+        if not trial_is_prime(f) and tau <= 5 + (f % 3 == 0):
+            capped.append(f)
+    assert capped == [4, 6, 8, 9]
+    interest = [f for f in capped if sum(zsigmondy_bounds(f)) <= 3]
+    evenfive = [f for f in capped if max(zsigmondy_bounds(f)) <= 2]
+    assert (interest, evenfive) == ([4], [4, 6, 9])
+    assert max(capped) <= F_MAX
+
+
+def test_zsigmondy_bounds_never_exceed_the_counts():
+    for f in range(2, F_MAX + 1):
+        minus, plus = zsigmondy_bounds(f)
+        sizes = classify_f(f).sizes
+        assert minus <= sizes[0] and plus <= sizes[1], f
+
+
+@pytest.mark.parametrize("f", range(2, F_MAX + 1))
+def test_zsigmondy_primes_witness_the_bounds(f):
+    # d | 2f reaches 2f, and zsigmondy(2, d) refuses d > 64, so the 2^f + 1
+    # side is checked for f <= 32 only.  test_arith.py pins zsigmondy's
+    # primes against a brute-force oracle.
+    assert zsigmondy(2, 1) is None and zsigmondy(2, 6) is None
+    sides = [(2**f - 1, [d for d in divisors(f) if d not in (1, 6)])]
+    if f <= 32:
+        sides.append((2**f + 1, [d for d in divisors(2 * f) if f % d != 0 and d != 6]))
+    for (n, ds), bound in zip(sides, zsigmondy_bounds(f)):
+        ps = [zsigmondy(2, d) for d in ds]
+        assert len(set(ps)) == len(ps) == bound
+        assert all(n % p == 0 for p in ps), (f, n)
 
 
 def test_palfy_fails_exactly_on_the_independent_triples_of_psl2_32():

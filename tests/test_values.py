@@ -1,4 +1,4 @@
-"""Value semantics of the nine immutable records (equality by type and
+"""Value semantics of the ten immutable records (equality by type and
 fields, hashing, read-only fields, the repr, copy and pickle), and the
 modules that importing the CLI loads.
 """
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from chargraph import graphs
 from chargraph.arith import Factorization
 from chargraph.classify import CaseReport, ScanHit
 from chargraph.graphs import CharGraph, DegreeSet
@@ -35,6 +36,8 @@ VALUES = {
     ),
     "ScanHit": (lambda: ScanHit(6, "ok", "f = 6", {"f": 6}),
                 "ScanHit(key=6, clause='ok', detail='f = 6', fields={'f': 6})"),
+    "CharGraph": (lambda: CharGraph([7, 2, 3], [(3, 2)]),
+                  "CharGraph(vertices=[2, 3, 7], edges=[[2, 3]])"),
 }
 NAMES = sorted(VALUES)
 
@@ -96,6 +99,7 @@ def test_scan_hit_is_unhashable_through_its_dict():
     (Complete(3), (3,)),
     (Factorization(12, ((2, 2), (3, 1))), Factorization(18, ((2, 1), (3, 2)))),
     (DegreeSet([1, 2]), DegreeSet([1, 3])),
+    (CharGraph([2, 3, 7], [(2, 3)]), CharGraph([2, 3, 7], [(2, 7)])),
     (ScanHit(6, "ok", "f = 6", {"f": 6}), ScanHit(6, None, "f = 6", {"f": 6})),
     (VALUES["CaseReport"][0](), CaseReport(3, (1, 1), "I", CharGraph([2, 3, 7]), "note", Complete(1), True)),
 ])
@@ -108,6 +112,25 @@ def test_unpickling_calls_the_constructor():
     # So a pickle holds only fields, and loading one runs the checks again.
     value = Factorization(12, ((2, 2), (3, 1)))
     assert value.__reduce__() == (Factorization, (12, ((2, 2), (3, 1))))
+    g = VALUES["CharGraph"][0]()
+    assert g.__reduce__() == (CharGraph, (g.vertices, g.edges))
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["deepcopy", "pickle"])
+def test_graph_copies_recertify_every_vertex(monkeypatch, clone):
+    g = VALUES["CharGraph"][0]()
+    tested = []
+    monkeypatch.setattr(graphs, "is_prime", lambda n: tested.append(n) or True)
+    assert clone(g) == g
+    assert tested == list(g.vertices)
+
+
+def test_graph_adjacency_is_read_only():
+    g = VALUES["CharGraph"][0]()
+    with pytest.raises(AttributeError):
+        g._adj = {}
+    assert g.has_edge(2, 3) and not g.has_edge(2, 7)
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
