@@ -1,12 +1,14 @@
 """Immutable value records built on __slots__, with nothing to generate at
 import time.
 
-A subclass names its fields in ``__slots__`` and, in its own ``__init__``,
-checks its arguments and sets each field with ``object.__setattr__``.  Two
-values are equal when they have the same type and equal fields; the hash is
-over the fields; assigning or deleting a field raises AttributeError; the
-repr reads ``Name(field=...)``.  Copying and pickling call the class again
-with the fields, positionally.
+A subclass names its fields in ``__slots__``.  A record that checks nothing
+inherits the constructor, which takes one argument per slot, in order.  A
+record that checks or normalises its arguments writes its own ``__init__``
+and sets each field with ``object.__setattr__``.  Two values are equal when
+they have the same type and equal fields; the hash is over the fields;
+assigning or deleting a field raises AttributeError; the repr reads
+``Name(field=...)``.  Copying and pickling call the class again with the
+fields, positionally.
 
 A subclass with a slot derived from its fields returns the fields alone
 from _field_values, in constructor order, and writes its own __repr__.
@@ -15,6 +17,12 @@ from _field_values, in constructor order, and writes its own __repr__.
 
 class Value:
     __slots__ = ()
+
+    def __init__(self, *fields: object) -> None:
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(fields)}")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def _field_values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

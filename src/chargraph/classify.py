@@ -4,7 +4,7 @@ graphs, plus the enumeration scanners and solvable-graph validators.
 A group with such a graph is a direct product of PSL2(2^f) with a solvable
 radical, and the prime-divisor counts of 2^f -+ 1 decide which of three
 graph shapes occurs.  verify_main builds the graph of PSL2(2^f) times a
-radical model and confirms the predicted shape edge for edge.
+radical model and checks that it is isomorphic to the predicted shape.
 """
 
 from __future__ import annotations
@@ -43,8 +43,12 @@ CASES = {
 }
 _NO_CASE = (None, None, "none (prime-divisor counts match no case)", 0)
 
-# Each case's expected graph, built once: the AST key is hashable, the graph immutable.
-_expected_graph = cache(eval_shape)
+
+# Each case's expected graph, built once: the AST key is hashable, the graph
+# immutable.  A body, not cache(eval_shape), so eval_shape is read at call time.
+@cache
+def _expected_graph(expr: GraphExpr) -> CharGraph:
+    return eval_shape(expr)
 
 
 class RadicalValidationError(ValueError):
@@ -56,22 +60,17 @@ class RadicalValidationError(ValueError):
 
 
 class CaseReport(Value):
-    """Classification of one exponent f, optionally with verification."""
+    """Classification of one exponent f, optionally with verification.
+
+    Fields, in order: f; sizes, the counts (|pi(2^f - 1)|, |pi(2^f + 1)|);
+    case, "I", "II", "III" or None; socle_graph, the graph of PSL2(2^f);
+    required_radical, the radical model the case needs, in words;
+    expected_shape, the case's shape AST or None; verified, verify_main's
+    verdict or None; product_graph, the graph verify_main built or None.
+    """
 
     __slots__ = ("f", "sizes", "case", "socle_graph", "required_radical", "expected_shape",
                  "verified", "product_graph")
-
-    def __init__(self, f: int, sizes: tuple[int, int], case: str | None, socle_graph: CharGraph,
-                 required_radical: str, expected_shape: GraphExpr | None,
-                 verified: bool | None = None, product_graph: CharGraph | None = None) -> None:
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "socle_graph", socle_graph)
-        object.__setattr__(self, "required_radical", required_radical)
-        object.__setattr__(self, "expected_shape", expected_shape)
-        object.__setattr__(self, "verified", verified)
-        object.__setattr__(self, "product_graph", product_graph)
 
     def to_json(self) -> dict:
         return {
@@ -113,14 +112,7 @@ def _classify(f: int) -> CaseReport:
         sum((q + 1) % p == 0 for p in socle.vertices),
     )
     case, shape, note, _ = CASES.get(sizes, _NO_CASE)
-    return CaseReport(
-        f=f,
-        sizes=sizes,
-        case=case,
-        socle_graph=socle,
-        required_radical=note,
-        expected_shape=parse_shape(shape) if shape else None,
-    )
+    return CaseReport(f, sizes, case, socle, note, parse_shape(shape) if shape else None, None, None)
 
 
 def _case_factor_count(report: CaseReport) -> int:
@@ -206,12 +198,6 @@ class ScanHit(Value):
     """
 
     __slots__ = ("key", "clause", "detail", "fields")
-
-    def __init__(self, key: int, clause: str | None, detail: str, fields: dict) -> None:
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "clause", clause)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "fields", fields)
 
     def to_json(self) -> dict:
         return self.fields

@@ -7,8 +7,8 @@ is data.to_dot(), and table is the table text.  An error a verb raises is
 written to stderr as one line.
 
 Exit codes: 0 success, 1 a verification verb found a failure (a scanner
-counterexample, a failed isomorphism, verified = false), 2 usage or parse
-errors.  Output is deterministic byte for byte for identical inputs.
+counterexample, a failed isomorphism, verified = false), 2 usage, parse or
+I/O errors.  Output is deterministic byte for byte for identical inputs.
 """
 
 from __future__ import annotations
@@ -214,8 +214,6 @@ def main(argv: list[str] | None = None) -> int:
             text = dumps(data)
         elif args.format == "dot":
             text = data.to_dot()
-        print(text)
-        return code
     except ShapeSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
@@ -228,6 +226,15 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk
+        print(f"output error: {exc}", file=sys.stderr)
+        # The interpreter flushes stdout again at exit; let that flush reach devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

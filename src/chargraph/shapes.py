@@ -43,9 +43,6 @@ class Cycle(Value):
 class Complement(Value):
     __slots__ = ("inner",)
 
-    def __init__(self, inner: GraphExpr) -> None:
-        object.__setattr__(self, "inner", inner)
-
 
 class Union(Value):
     __slots__ = ("parts",)
@@ -66,6 +63,14 @@ class Join(Value):
 
 
 GraphExpr = Complete | Cycle | Complement | Union | Join
+
+# The binary operators, loosest first: node type, symbols and the separator
+# render_shape writes.  Symbols are tuples: peek returns "" at end of input,
+# and "" is in every string.
+_OPERATORS = (
+    (Join, ("*", "⋆"), " * "),
+    (Union, ("+", "∪"), " + "),
+)
 
 # Deepest parenthesis nesting parse_shape accepts.  Each level costs four
 # parser frames, so this stays well inside Python's recursion limit.
@@ -116,19 +121,15 @@ class _Parser:
             raise self.error("expected an integer")
         return int(self.text[start : self.pos])
 
-    def parse_expr(self) -> GraphExpr:
-        parts = [self.parse_term()]
-        while self.peek() in ("*", "⋆"):
+    def parse_expr(self, level: int = 0) -> GraphExpr:
+        # The last level calls parse_factor itself: four frames per parenthesis.
+        node_type, symbols, _ = _OPERATORS[level]
+        last = level == len(_OPERATORS) - 1
+        parts = [self.parse_factor() if last else self.parse_expr(level + 1)]
+        while self.peek() in symbols:
             self.take()
-            parts.append(self.parse_term())
-        return parts[0] if len(parts) == 1 else Join(tuple(parts))
-
-    def parse_term(self) -> GraphExpr:
-        parts = [self.parse_factor()]
-        while self.peek() in ("+", "∪"):
-            self.take()
-            parts.append(self.parse_factor())
-        return parts[0] if len(parts) == 1 else Union(tuple(parts))
+            parts.append(self.parse_factor() if last else self.parse_expr(level + 1))
+        return parts[0] if len(parts) == 1 else node_type(tuple(parts))
 
     def parse_factor(self) -> GraphExpr:
         node = self.parse_atom()
@@ -186,6 +187,7 @@ def _eval(expr: GraphExpr, labels: Iterator[int]) -> CharGraph:
         return CharGraph._trusted(vs, [(vs[i], vs[(i + 1) % expr.n]) for i in range(expr.n)])
     if isinstance(expr, Complement):
         return graph_complement(_eval(expr.inner, labels))
+    # Not held in _OPERATORS: read at call time, a wrapper bound to either name sees each call.
     if isinstance(expr, Union):
         return disjoint_union(*(_eval(p, labels) for p in expr.parts))
     if isinstance(expr, Join):
@@ -229,14 +231,9 @@ def render_shape(expr: GraphExpr) -> str:
         if isinstance(expr.inner, (Complete, Cycle)):
             return f"{inner}^c"
         return f"({inner})^c"
-    if isinstance(expr, Union):
-        return " + ".join(
-            f"({render_shape(p)})" if isinstance(p, (Union, Join)) else render_shape(p)
-            for p in expr.parts
-        )
-    if isinstance(expr, Join):
-        return " * ".join(
-            f"({render_shape(p)})" if isinstance(p, Join) else render_shape(p)
-            for p in expr.parts
-        )
+    for level, (node_type, _, separator) in enumerate(_OPERATORS):
+        if isinstance(expr, node_type):
+            wrap = tuple(op[0] for op in _OPERATORS[: level + 1])
+            parts = (f"({render_shape(p)})" if isinstance(p, wrap) else render_shape(p) for p in expr.parts)
+            return separator.join(parts)
     raise TypeError(f"not a shape expression: {expr!r}")

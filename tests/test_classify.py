@@ -94,6 +94,23 @@ def test_verify_main_evaluates_each_expected_shape_once():
     assert len(runs) <= 3
 
 
+def test_expected_graph_reads_eval_shape_at_call_time(monkeypatch):
+    # A wrapper bound to classify.eval_shape, as a tracer installs, sees
+    # every evaluation of a case shape: three over two passes.
+    calls = []
+
+    def counting(expr):
+        calls.append(expr)
+        return eval_shape(expr)
+
+    monkeypatch.setattr(classify, "eval_shape", counting)
+    classify._expected_graph.cache_clear()
+    for _ in range(2):
+        for f in (f for fs in CASE_FS.values() for f in fs):
+            assert verify_main(f, synthetic_radical(f)).verified is True
+    assert len(calls) == 3
+
+
 def test_verify_main_rejects_f_without_a_case():
     with pytest.raises(ValueError, match="no case applies"):
         verify_main(4, [])

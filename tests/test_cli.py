@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargraph import cli
+from chargraph import classify, cli, graphs, shapes
 from chargraph.arith import is_prime
 
 
@@ -130,14 +130,41 @@ def test_iso_of_two_empty_graphs_prints_the_empty_mapping(fmt, expected, capsys)
     assert (code, out, err) == (0, expected, "")
 
 
+def run_cli_process(argv, **kwargs):
+    """Run the CLI in a fresh interpreter on this checkout's source."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "chargraph.cli", *argv], text=True, env=env, **kwargs)
+
+
 def test_join_of_many_empty_parts_is_fast():
     # K0 has no vertices, so the shape's vertex cap does not bound the number
     # of parts, and join must stay linear in it.
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    argv = [sys.executable, "-m", "chargraph.cli", "parse-shape", " * ".join(["K0"] * 16_000)]
-    out = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5, check=True)
+    out = run_cli_process(["parse-shape", " * ".join(["K0"] * 16_000)], capture_output=True, timeout=5, check=True)
     assert out.stdout == '{"edges":[],"vertices":[]}\n'
+
+
+# A failed stdout write is an I/O error: exit 2 and one stderr line, with no
+# second failure when the interpreter flushes stdout at exit.  Both run in a
+# subprocess, since main points the stdout descriptor at devnull.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_exits_2_with_one_output_error_line():
+    with open("/dev/full", "w") as full:
+        out = run_cli_process(["classify-f", "63", "--format", "json"], stdout=full, stderr=subprocess.PIPE, timeout=30)
+    assert out.returncode == 2
+    assert out.stderr.startswith("output error:") and out.stderr.count("\n") == 1
+
+
+def test_a_closed_pipe_exits_2_with_one_output_error_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = run_cli_process(["parse-shape", "K256", "--format", "json"], stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=30)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 2
+    assert out.stderr.startswith("output error:") and out.stderr.count("\n") == 1
 
 
 # Generated argv for every verb, with arguments bounded to each verb's cheap
@@ -199,3 +226,17 @@ def test_fuzzed_argv_exits_0_1_or_2(verb, scratch_file):
         assert code in (0, 1, 2)
 
     run()
+
+
+def test_readme_names_every_verb_and_bound():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    verbs = cli.build_parser()._subparsers._group_actions[0].choices
+    assert [verb for verb in verbs if f"`{verb}`" not in readme] == []
+    bounds = {
+        "F_MAX": classify.F_MAX,
+        "Q_ODD_MAX": classify.Q_ODD_MAX,
+        "MAX_SEARCH_VERTICES": graphs.MAX_SEARCH_VERTICES,
+        "MAX_VERTICES": shapes.MAX_VERTICES,
+        "MAX_DEPTH": shapes.MAX_DEPTH,
+    }
+    assert [name for name, value in bounds.items() if f"| `{name}` | {value:,} |" not in readme] == []

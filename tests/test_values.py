@@ -29,7 +29,7 @@ VALUES = {
     "Union": (lambda: Union((Complete(1), Cycle(3))), "Union(parts=(Complete(n=1), Cycle(n=3)))"),
     "Join": (lambda: Join((Complete(1), Complete(2))), "Join(parts=(Complete(n=1), Complete(n=2)))"),
     "CaseReport": (
-        lambda: CaseReport(3, (1, 1), "I", CharGraph([2, 7, 3], []), "note", Complete(1)),
+        lambda: CaseReport(3, (1, 1), "I", CharGraph([2, 7, 3], []), "note", Complete(1), None, None),
         "CaseReport(f=3, sizes=(1, 1), case='I', socle_graph=CharGraph(vertices=[2, 3, 7], "
         "edges=[]), required_radical='note', expected_shape=Complete(n=1), verified=None, "
         "product_graph=None)",
@@ -101,11 +101,29 @@ def test_scan_hit_is_unhashable_through_its_dict():
     (DegreeSet([1, 2]), DegreeSet([1, 3])),
     (CharGraph([2, 3, 7], [(2, 3)]), CharGraph([2, 3, 7], [(2, 7)])),
     (ScanHit(6, "ok", "f = 6", {"f": 6}), ScanHit(6, None, "f = 6", {"f": 6})),
-    (VALUES["CaseReport"][0](), CaseReport(3, (1, 1), "I", CharGraph([2, 3, 7]), "note", Complete(1), True)),
+    (VALUES["CaseReport"][0](), CaseReport(3, (1, 1), "I", CharGraph([2, 3, 7]), "note", Complete(1), True, None)),
 ])
 def test_unequal_across_types_and_fields(a, b):
     assert a != b and b != a
     assert not a == b
+
+
+# The records that check nothing take Value's constructor: one argument per slot.
+CHECK_FREE = [CaseReport, ScanHit, Complement]
+
+
+@pytest.mark.parametrize("cls", CHECK_FREE, ids=lambda c: c.__name__)
+def test_check_free_records_inherit_the_constructor(cls):
+    assert "__init__" not in vars(cls)
+
+
+@pytest.mark.parametrize("cls", CHECK_FREE, ids=lambda c: c.__name__)
+def test_wrong_field_count_names_the_class_and_its_fields(cls):
+    n = len(cls.__slots__)
+    for count in (n - 1, n + 1):
+        with pytest.raises(TypeError) as info:
+            cls(*range(count))
+        assert str(info.value) == f"{cls.__name__} takes {n} fields, got {count}"
 
 
 def test_unpickling_calls_the_constructor():
