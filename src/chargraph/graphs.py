@@ -159,17 +159,10 @@ class DegreeSet(Value):
 def graph_from_cd(cd: DegreeSet) -> CharGraph:
     """The character graph of a degree set: distinct primes p, q dividing the
     same degree d satisfy pq | d, so each degree adds a clique on its primes.
-
-    A degree d whose double 2d is also a degree is not factored: its primes
-    and their clique lie inside those of 2d.  For odd q this skips the
-    degree (q + eps)/2 of PSL2(q).
     """
-    degrees = set(cd.degrees)
     verts: set[int] = set()
     edges: set[tuple[int, int]] = set()
     for d in cd:
-        if 2 * d in degrees:
-            continue
         ps = sorted(prime_divisors(d))
         verts.update(ps)
         edges.update(combinations(ps, 2))

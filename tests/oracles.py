@@ -27,6 +27,12 @@ def trial_prime_divisors(n: int) -> set[int]:
     return {p for p, _ in trial_factorize(n)}
 
 
+def trial_prime_power(n: int) -> tuple[int, int] | None:
+    """(p, f) with n = p^f, or None if n < 2 or n has two distinct primes."""
+    factors = trial_factorize(n)
+    return factors[0] if len(factors) == 1 else None
+
+
 def cliques(*parts) -> set[tuple[int, int]]:
     """The sorted pairs within each part."""
     return {pair for part in parts for pair in combinations(sorted(part), 2)}

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chargraph
 from chargraph import classify, cli, graphs, shapes
 from chargraph.arith import is_prime
 
@@ -228,8 +230,12 @@ def test_fuzzed_argv_exits_0_1_or_2(verb, scratch_file):
     run()
 
 
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+
 def test_readme_names_every_verb_and_bound():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     verbs = cli.build_parser()._subparsers._group_actions[0].choices
     assert [verb for verb in verbs if f"`{verb}`" not in readme] == []
     bounds = {
@@ -240,3 +246,45 @@ def test_readme_names_every_verb_and_bound():
         "MAX_DEPTH": shapes.MAX_DEPTH,
     }
     assert [name for name, value in bounds.items() if f"| `{name}` | {value:,} |" not in readme] == []
+
+
+# (verb, example, the literal text its Commands-table row shows, and whether
+# that text is the whole output or its first or last line).
+README_EXAMPLES = [
+    ("factor", "factor 360", "360 = 2^3 * 3^2 * 5", "whole"),
+    ("pi", "pi 255", "3 5 17", "whole"),
+    ("zsigmondy", "zsigmondy 2 10", "11", "whole"),
+    ("zsigmondy", "zsigmondy 2 6", "none", "whole"),
+    ("psl2-graph", "psl2-graph 8", '{"edges":[],"vertices":[2,3,7]}', "whole"),
+    ("iso", "iso C4 'K2^c * K2^c'", "isomorphic: 2->2 3->5 5->3 7->7", "whole"),
+    ("verify-main", "verify-main --f 6", "f = 6: case II, verified", "first"),
+    ("scan", "scan evenfive --max 12", "3 hit(s), 0 counterexample(s)", "last"),
+]
+
+
+@pytest.mark.parametrize("verb,example,shown,where", README_EXAMPLES,
+                         ids=[example for _, example, _, _ in README_EXAMPLES])
+def test_readme_example_prints_what_the_table_shows(verb, example, shown, where, capsys):
+    [row] = [line for line in README.read_text().splitlines() if line.startswith(f"| `{verb}` |")]
+    # The row names zsigmondy's second example in its Prints column.
+    named = "`none` for 2^6 − 1" if example == "zsigmondy 2 6" else f"`chargraph {example}`"
+    assert named in row and f"`{shown}`" in row
+    assert cli.main(shlex.split(example)) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert {"whole": out, "first": lines[0] + "\n", "last": lines[-1] + "\n"}[where] == shown + "\n"
+
+
+def test_readme_states_the_scan_defaults():
+    (a, (_, first)), (b, (_, second)), (c, (_, last)) = cli._SCANNERS.items()
+    assert first == second
+    sentence = (f"`scan` takes `{a}`, `{b}` or `{c}`; `--max` defaults to {first:,} "
+                f"for the first two and {last:,} for `{c}`.")
+    assert sentence in " ".join(README.read_text().split())
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_pyproject_takes_the_version_from_the_package():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    project = pyprojecttoml.read_configuration(ROOT / "pyproject.toml")["project"]
+    assert (project["dynamic"], project["version"]) == (["version"], chargraph.__version__)

@@ -2,9 +2,8 @@ from math import gcd
 
 import pytest
 
-from chargraph import graphs
-from chargraph.degrees import cd_psl2, graph_psl2
-from oracles import component_psl2_graph, trial_is_prime
+from chargraph.degrees import cd_psl2, graph_psl2, prime_power
+from oracles import component_psl2_graph, trial_is_prime, trial_prime_power
 
 Q_MAX = 20_000
 
@@ -32,16 +31,6 @@ def test_psl2_graph_matches_degree_set_graph():
     assert len(qs) == 2326
     mismatches = [q for q in qs if psl2_graph_sets(q) != component_psl2_graph(q)]
     assert mismatches == []
-
-
-def test_graph_psl2_skips_the_half_degree(monkeypatch):
-    # cd(PSL2(9973)) = {1, 4987, 9972, 9973, 9974}; the primes of 4987 are
-    # among those of 9974 = 2 * 4987, so 4987 is never factored.
-    factored = []
-    original = graphs.prime_divisors
-    monkeypatch.setattr(graphs, "prime_divisors", lambda n: factored.append(n) or original(n))
-    graph_psl2(9973)
-    assert sorted(factored) == [1, 9972, 9973, 9974]
 
 
 def psl2_multiplicities(q: int) -> dict[int, int]:
@@ -73,3 +62,9 @@ def test_cd_psl2_degrees_square_sum_to_the_group_order():
 def test_cd_psl2_rejects_non_prime_powers_below_four(q):
     with pytest.raises(ValueError):
         cd_psl2(q)
+
+
+def test_prime_power_matches_trial_division():
+    mismatches = [n for n in range(5001) if prime_power(n) != trial_prime_power(n)]
+    assert mismatches == []
+    assert [prime_power(n) for n in (0, 1, 6, 5000)] == [None] * 4

@@ -328,7 +328,8 @@ class TestTrustedBuilders:
     @settings(max_examples=150)
     @given(degree_sets())
     def test_graph_from_cd_recertifies_and_is_the_clique_union_of_all_degrees(self, cd):
-        # Skipping d when 2d is a degree must lose no vertex and no edge.
+        """Every degree adds the clique on its primes, found here by trial
+        division; a degree whose double is in the set too is no exception."""
         g = graph_from_cd(cd)
         assert recertified(g)
         assert (set(g.vertices), set(g.edges)) == (

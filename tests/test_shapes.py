@@ -90,6 +90,20 @@ class TestParse:
         assert err.value.position == 5 + MAX_DEPTH
 
 
+class TestNodes:
+    """The parser never builds these nodes; a library caller can."""
+
+    @pytest.mark.parametrize("node,arg,message", [
+        (Complete, -1, "K_n needs n >= 0"),
+        (Cycle, 2, "C_n needs n >= 3"),
+        (Union, (), "union of nothing"),
+        (Join, (), "join of nothing"),
+    ], ids=["complete", "cycle", "union", "join"])
+    def test_invalid_nodes_rejected(self, node, arg, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            node(arg)
+
+
 class TestEval:
     def test_join_of_edgeless_pairs_is_a_square(self):
         g = eval_shape(parse_shape("K2^c * K2^c"))
