@@ -7,15 +7,20 @@ from the number it splits, so repeated calls give identical results.
 
 factorize splits 2^k -+ 1 into its cyclotomic (and, for 2^(4h+2) + 1, its
 Aurifeuillean) pieces before factoring each piece, as in the Cunningham
-tables of Brillhart et al., "Factorizations of b^n +- 1"; and one gcd with
-the product of the odd primes below TRIAL_BOUND tells it when trial
-division would find nothing.
+tables of Brillhart et al., "Factorizations of b^n +- 1".  A prime dividing
+the piece Phi_d(2) is 1 mod d, or it is the largest prime of d and divides
+the piece once (Bang 1886), so a piece is trial-divided only by candidates
+1 mod d (mod 2d for odd d).  One gcd with the product of the odd primes
+below TRIAL_BOUND tells factorize when trial division would find nothing.
+Every prime left after trial division is at least the first candidate c
+not tried, so factorize takes a cofactor below c^2 as prime without a
+Miller-Rabin test.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import count
 from math import gcd
 
@@ -118,16 +123,19 @@ def _pollard_rho(n: int) -> int:
 class Factorization(Value):
     """A positive integer together with its prime factorization.
 
-    ``factors`` lists (prime, exponent) pairs with strictly increasing
-    primes; their product reconstructs ``n``.
+    ``factors`` is a tuple of (prime, exponent) tuples with strictly
+    increasing primes; their product reconstructs ``n``.  Any iterable of
+    pairs is accepted and stored as that tuple, so a Factorization built
+    from lists equals and hashes like the one factorize returns.
     """
 
     __slots__ = ("n", "factors")
 
-    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
+    def __init__(self, n: int, factors: Iterable[tuple[int, int]]) -> None:
         if n < 1:
             raise ValueError("factored value must be positive")
         prod, last = 1, 1
+        pairs = []
         for p, e in factors:
             if p <= last:
                 raise ValueError("factor primes must be strictly increasing")
@@ -137,10 +145,11 @@ class Factorization(Value):
                 raise ValueError(f"{p} is not prime")
             prod *= p**e
             last = p
+            pairs.append((p, e))
         if prod != n:
             raise ValueError(f"factors reconstruct {prod}, expected {n}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "factors", tuple(pairs))
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -150,16 +159,18 @@ class Factorization(Value):
         return dict(self.factors)
 
 
-def _cyclotomic_pieces(n: int) -> list[int]:
-    """Factors > 1 of n whose product is n, split by algebra when n = 2^k -+ 1.
+def _cyclotomic_pieces(n: int) -> list[tuple[int, int]]:
+    """Pairs (d, piece) of factors > 1 of n whose product is n, split by
+    algebra when n = 2^k -+ 1; d is the index of the cyclotomic piece.
 
     2^k - 1 is the product of Phi_d(2) over d | k, and 2^k + 1 that over
     d | 2k with d not dividing k; each Phi_d(2) is 2^d - 1 divided exactly
     by the Phi_e(2) of the proper divisors e of d.  2^(4h+2) + 1 is also
     (2^(2h+1) - 2^(h+1) + 1)(2^(2h+1) + 2^(h+1) + 1) (Aurifeuille), so each
-    of its pieces is split again by its gcd with the first factor.  Pieces
-    may share a prime (3 divides Phi_2(2) and Phi_6(2)).  Any other n is
-    returned whole.
+    of its pieces is split again by its gcd with the first factor, and both
+    halves keep the d of the piece they split.  Pieces may share a prime (3
+    divides Phi_2(2) and Phi_6(2)).  Any other n is returned whole, as
+    (1, n).
     """
     if n & (n + 1) == 0:  # n = 2^k - 1
         k = top = n.bit_length()
@@ -167,7 +178,7 @@ def _cyclotomic_pieces(n: int) -> list[int]:
         k = n.bit_length() - 1
         top = 2 * k
     else:
-        return [n]
+        return [(1, n)]
     phi: dict[int, int] = {}
     for d in range(1, top + 1):
         if top % d == 0:
@@ -177,38 +188,53 @@ def _cyclotomic_pieces(n: int) -> list[int]:
                     v //= pe
             phi[d] = v
     # For 2^k + 1 only the d not dividing k count.
-    pieces = [v for d, v in phi.items() if v > 1 and (top == k or k % d)]
+    pieces = [(d, v) for d, v in phi.items() if v > 1 and (top == k or k % d)]
     if top != k and k % 4 == 2:
         h = k // 4
         left = (1 << (2 * h + 1)) - (1 << (h + 1)) + 1
         split = []
-        for v in pieces:
+        for d, v in pieces:
             g = gcd(v, left)
-            split += (x for x in (g, v // g) if x > 1)
+            split += ((d, x) for x in (g, v // g) if x > 1)
         pieces = split
     return pieces
 
 
-def _factor_into(m: int, exps: dict[int, int]) -> None:
-    """Add the prime factorization of m >= 1 to exps."""
+def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
+    """Add the prime factorization of m >= 1 to exps, where m divides
+    Phi_index(2), or index = 1 for any other m.
+
+    By Bang's rule, a prime dividing Phi_d(2) either is 1 mod d or is the
+    largest prime of d and divides Phi_d(2) once.  So gcd(m, index) is 1 or
+    that prime, and every other odd prime of m is 1 mod step, where step is
+    index for even index and 2 * index for odd index.  Trial division tries
+    only the candidates c = 1 + step, 1 + 2 * step, ... below TRIAL_BOUND
+    while c^2 <= m; a composite candidate never divides m, since its primes
+    were tried before it.  Every prime left is at least the first candidate
+    c not tried, so a cofactor below c^2 is prime.
+    """
     twos = (m & -m).bit_length() - 1
     if twos:
         exps[2] = exps.get(2, 0) + twos
         m >>= twos
-    d = 3
+    g = gcd(m, index)
+    if g > 1:
+        exps[g] = exps.get(g, 0) + 1
+        m //= g
+    step = index if index % 2 == 0 else 2 * index
+    c = 1 + step
     if m >= TRIAL_BOUND * TRIAL_BOUND and gcd(m, _ODD_PRIMES_BELOW_BOUND) == 1:
-        # No odd d below the bound divides m: skip straight past them.
-        d = TRIAL_BOUND + 1
-    while d < TRIAL_BOUND and d * d <= m:
-        while m % d == 0:
-            exps[d] = exps.get(d, 0) + 1
-            m //= d
-        d += 2
-    # Every prime factor left is >= d, so a cofactor below d^2 is prime.
+        # No odd prime below the bound divides m: skip straight past them.
+        c = TRIAL_BOUND + 1
+    while c < TRIAL_BOUND and c * c <= m:
+        while m % c == 0:
+            exps[c] = exps.get(c, 0) + 1
+            m //= c
+        c += step
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if m < d * d or is_prime(m):
+        if m < c * c or is_prime(m):
             exps[m] = exps.get(m, 0) + 1
         else:
             r = _pollard_rho(m)
@@ -219,19 +245,22 @@ def factorize(n: int) -> Factorization:
     """Factor n >= 1 into primes.
 
     From 2^20 = TRIAL_BOUND^2 up, n = 2^k -+ 1 is first split into its
-    cyclotomic pieces (see _cyclotomic_pieces) and each piece is factored
-    alone, with exponents added across pieces.  A piece, or any other n,
-    loses its factors of 2; an odd cofactor of at least 2^20 that is
-    coprime to every odd prime below TRIAL_BOUND skips trial division, and
-    otherwise the odd d below TRIAL_BOUND are tried while d^2 <= m.  Pollard
-    rho, with Miller-Rabin certification, splits what is left.
+    cyclotomic pieces (see _cyclotomic_pieces) and each piece Phi_d(2) is
+    factored alone, with exponents added across pieces.  A piece, or any
+    other n, loses its factors of 2 and, for a piece, the prime it shares
+    with d; trial division then tries only the candidates c < TRIAL_BOUND
+    that are 1 mod d (mod 2d for odd d; any other n is tried by the odd c),
+    while c^2 <= m (see _factor_into).  An odd cofactor of at least 2^20
+    coprime to every odd prime below TRIAL_BOUND skips trial division.  A
+    cofactor below c^2, for c the first candidate not tried, is prime;
+    Pollard rho, with Miller-Rabin certification, splits what is left.
     """
     if n < 1:
         raise ValueError("cannot factor n < 1")
     _check_width(n)
     exps: dict[int, int] = {}
-    for piece in _cyclotomic_pieces(n) if n >= TRIAL_BOUND * TRIAL_BOUND else (n,):
-        _factor_into(piece, exps)
+    for index, piece in _cyclotomic_pieces(n) if n >= TRIAL_BOUND * TRIAL_BOUND else ((1, n),):
+        _factor_into(piece, exps, index)
     return Factorization(n, tuple(sorted(exps.items())))
 
 

@@ -15,6 +15,7 @@ from chargraph.arith import (
     Factorization,
     _ODD_PRIMES_BELOW_BOUND,
     _cyclotomic_pieces,
+    _factor_into,
     factorize,
     is_prime,
     prime_divisors,
@@ -131,14 +132,21 @@ class TestTwoPowerPlusMinusOne:
         assert checked == 109
 
     def test_pieces_multiply_back(self):
-        for n in KNOWN_2K:
-            if n >= TRIAL_BOUND**2:
+        for k in range(20, 65):
+            for n, top in ((2**k - 1, k), (2**k + 1, 2 * k)):
+                if n > U64_MAX:
+                    continue
                 pieces = _cyclotomic_pieces(n)
-                assert math.prod(pieces) == n and min(pieces) > 1, n
+                values = [v for _, v in pieces]
+                assert math.prod(values) == n and min(values) > 1, n
+                # The indices are the d > 1 dividing k for 2^k - 1, and
+                # those dividing 2k but not k for 2^k + 1.
+                indices = {d for d in range(2, top + 1) if top % d == 0 and (top == k or k % d)}
+                assert {d for d, _ in pieces} == indices, n
 
     def test_prime_shared_by_two_pieces(self):
         # Phi_2(2) = Phi_6(2) = 3, Phi_14(2) = 43, Phi_42(2) = 5419.
-        assert sorted(_cyclotomic_pieces(2**21 + 1)) == [3, 3, 43, 5419]
+        assert sorted(_cyclotomic_pieces(2**21 + 1)) == [(2, 3), (6, 3), (14, 43), (42, 5419)]
         assert factorize(2**21 + 1).factors == ((3, 2), (43, 1), (5419, 1))
 
     @pytest.mark.parametrize("h,factors", [
@@ -151,30 +159,78 @@ class TestTwoPowerPlusMinusOne:
         right = 2 ** (2 * h + 1) + 2 ** (h + 1) + 1
         assert left * right == n
         # Phi_4(2) = 5 divides one of the two factors; the other pieces are
-        # that factor over 5 and the other factor.
-        expected = [5, left // 5, right] if left % 5 == 0 else [5, left, right // 5]
-        assert sorted(_cyclotomic_pieces(n)) == sorted(expected)
+        # that factor over 5 and the other factor, the halves of
+        # Phi_(8h+4)(2), which keep its index.
+        halves = [left // 5, right] if left % 5 == 0 else [left, right // 5]
+        assert sorted(_cyclotomic_pieces(n)) == [(4, 5)] + [(8 * h + 4, v) for v in sorted(halves)]
         assert factorize(n).factors == factors
 
     def test_prime_piece(self):
-        assert _cyclotomic_pieces(2**61 - 1) == [2**61 - 1]
+        assert _cyclotomic_pieces(2**61 - 1) == [(61, 2**61 - 1)]
         assert factorize(2**61 - 1).factors == ((2**61 - 1, 1),)
 
     def test_top_of_the_range(self):
-        assert _cyclotomic_pieces(2**64 - 1) == [3, 5, 17, 257, 65537, 2**32 + 1]
+        assert _cyclotomic_pieces(2**64 - 1) == [(2, 3), (4, 5), (8, 17), (16, 257), (32, 65537), (64, 2**32 + 1)]
         assert factorize(2**64 - 1).factors == KNOWN_2K[2**64 - 1]
 
     def test_at_the_gate(self):
         # 2^20 - 1 is below TRIAL_BOUND^2 and is trial-divided whole.
         assert factorize(2**20 - 1).factors == ((3, 1), (5, 2), (11, 1), (31, 1), (41, 1))
-        assert sorted(_cyclotomic_pieces(2**20 + 1)) == [17, 61681]
+        assert sorted(_cyclotomic_pieces(2**20 + 1)) == [(8, 17), (40, 61681)]
         assert factorize(2**20 + 1).factors == ((17, 1), (61681, 1))
         for n in (2**20 - 1, 2**20 + 1):
             assert factorize(n).factors == tuple(trial_factorize(n))
 
     def test_other_n_stay_whole(self):
         for n in (2**40, 2**40 + 3, 3 * 2**40 - 1, 2**63 + 2):
-            assert _cyclotomic_pieces(n) == [n]
+            assert _cyclotomic_pieces(n) == [(1, n)]
+
+
+# Every index d that _cyclotomic_pieces emits for some 2^k -+ 1 <= U64_MAX.
+EMITTED_INDICES = sorted({d for n in KNOWN_2K for d, _ in _cyclotomic_pieces(n)})
+
+
+class TestResidueRule:
+    """Bang's rule: a prime dividing Phi_d(2) is 1 mod d, or it is the
+    largest prime of d and divides Phi_d(2) once.  _factor_into trial-divides
+    a piece of index d only by candidates 1 mod d (mod 2d for odd d) after
+    taking out gcd(piece, d), so it rests on this rule."""
+
+    def test_every_emitted_index_obeys_the_rule(self):
+        sympy = pytest.importorskip("sympy")
+        assert EMITTED_INDICES[0] == 2 and EMITTED_INDICES[-1] == 126
+        for d in EMITTED_INDICES:
+            phi = int(sympy.cyclotomic_poly(d, 2))
+            largest = max(sympy.primefactors(d))
+            for p, e in sympy.factorint(phi).items():
+                assert p % d == 1 or (p == largest and e == 1), (d, p, e)
+
+    def test_each_piece_divides_the_value_of_its_index(self):
+        sympy = pytest.importorskip("sympy")
+        phi = {d: int(sympy.cyclotomic_poly(d, 2)) for d in EMITTED_INDICES}
+        for n in KNOWN_2K:
+            for d, v in _cyclotomic_pieces(n):
+                assert phi[d] % v == 0, (n, d, v)
+
+    @pytest.mark.parametrize("n,factors,intrinsic", [
+        # Phi_21(2) = 7 * 337; 7 also divides Phi_3(2) = 7.
+        (2**21 - 1, ((7, 2), (127, 1), (337, 1)), {21: 7}),
+        # Phi_6(2) = 3, Phi_18(2) = 3 * 19, Phi_54(2) = 3 * 87211; the fourth
+        # 3 is Phi_2(2), where 3 is 1 mod 2.
+        (2**27 + 1, ((3, 4), (19, 1), (87211, 1)), {6: 3, 18: 3, 54: 3}),
+        # Phi_20(2) = 205 = 5 * 41.
+        (2**40 - 1, ((3, 1), (5, 2), (11, 1), (17, 1), (31, 1), (41, 1), (61681, 1)), {20: 5}),
+    ])
+    def test_intrinsic_primes(self, n, factors, intrinsic):
+        assert factorize(n).factors == factors
+        assert factorize(n).factors == tuple(trial_factorize(n))
+        pieces = dict(_cyclotomic_pieces(n))
+        for d, p in intrinsic.items():
+            assert pieces[d] % p == 0 and p % d != 1
+            exps: dict[int, int] = {}
+            _factor_into(pieces[d], exps, d)
+            assert exps == dict(trial_factorize(pieces[d])), d
+            assert exps[p] == 1
 
 
 class TestGcdScreen:
@@ -215,6 +271,17 @@ class TestGcdScreen:
 
 
 class TestFactorizationType:
+    @pytest.mark.parametrize("factors", [[(2, 2), (3, 1)], [[2, 2], [3, 1]]])
+    def test_stores_factors_as_tuples(self, factors):
+        fac = Factorization(12, factors)
+        assert fac == factorize(12)
+        assert hash(fac) == hash(factorize(12))
+        assert fac.factors == ((2, 2), (3, 1)) and type(fac.factors) is tuple
+        assert all(type(pair) is tuple for pair in fac.factors)
+        assert repr(fac) == "Factorization(n=12, factors=((2, 2), (3, 1)))"
+        factors.append((5, 1))  # the caller's list is not the stored value
+        assert fac == factorize(12)
+
     def test_rejects_bad_product(self):
         with pytest.raises(ValueError):
             Factorization(10, ((2, 1), (3, 1)))
