@@ -14,7 +14,14 @@ the piece once (Bang 1886), so a piece is trial-divided only by candidates
 below TRIAL_BOUND tells factorize when trial division would find nothing.
 Every prime left after trial division is at least the first candidate c
 not tried, so factorize takes a cofactor below c^2 as prime without a
-Miller-Rabin test.
+Miller-Rabin test.  A composite cofactor of a piece is trial-divided further,
+as long as that takes no more candidates than the odd c below TRIAL_BOUND,
+before Pollard rho gets it.
+
+is_prime is Miller-Rabin with Sinclair's seven bases (2, 325, 9375, 28178,
+450775, 9780504, 1795265022).  Feitsma and Galway listed every base-2 strong
+pseudoprime below 2^64, and none of them is a strong probable prime to all
+seven bases, so the test is exact on the whole u64 range.
 """
 
 from __future__ import annotations
@@ -46,8 +53,11 @@ _ODD_PRIMES_BELOW_BOUND = int(
     16,
 )
 
-# Witness set proving primality for every n < 3.3e24 (covers the u64 range).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# is_prime divides by these first: a cheap answer for most composites.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Sinclair's witness set, exact below 2^64 (see is_prime).
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def _check_width(n: int) -> None:
@@ -56,11 +66,18 @@ def _check_width(n: int) -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for all n < 2^64."""
+    """Deterministic Miller-Rabin; exact for all n < 2^64.
+
+    After division by the primes up to 37, n is tested to Sinclair's seven
+    bases (2, 325, 9375, 28178, 450775, 9780504, 1795265022), each reduced
+    mod n and skipped when it is 0 mod n.  By Feitsma and Galway's list of
+    the base-2 strong pseudoprimes below 2^64, no composite n < 2^64 passes
+    all seven.
+    """
     _check_width(n)
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -68,6 +85,9 @@ def is_prime(n: int) -> bool:
         d //= 2
         s += 1
     for a in _MR_BASES:
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -169,12 +189,12 @@ def _cyclotomic_pieces(n: int) -> list[tuple[int, int]]:
     (2^(2h+1) - 2^(h+1) + 1)(2^(2h+1) + 2^(h+1) + 1) (Aurifeuille), so each
     of its pieces is split again by its gcd with the first factor, and both
     halves keep the d of the piece they split.  Pieces may share a prime (3
-    divides Phi_2(2) and Phi_6(2)).  Any other n is returned whole, as
-    (1, n).
+    divides Phi_2(2) and Phi_6(2)).  Any other n, 2 = 2^0 + 1 included, is
+    returned whole, as (1, n).
     """
     if n & (n + 1) == 0:  # n = 2^k - 1
         k = top = n.bit_length()
-    elif (n - 1) & (n - 2) == 0:  # n = 2^k + 1
+    elif n >= 3 and (n - 1) & (n - 2) == 0:  # n = 2^k + 1
         k = n.bit_length() - 1
         top = 2 * k
     else:
@@ -212,6 +232,14 @@ def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
     while c^2 <= m; a composite candidate never divides m, since its primes
     were tried before it.  Every prime left is at least the first candidate
     c not tried, so a cofactor below c^2 is prime.
+
+    Each cofactor of at least c^2 is proved prime or shown composite once.
+    A composite one is trial-divided further, while c < step * TRIAL_BOUND / 2
+    (and c^2 <= m, which holds until c meets its least prime), before it
+    goes to Pollard rho: that is at most the TRIAL_BOUND / 2 candidates an
+    odd n has below TRIAL_BOUND.  For index 1 (step 2) the bound is
+    TRIAL_BOUND itself, so any n other than a piece of 2^k -+ 1 tries the
+    same candidates as without the extension.
     """
     twos = (m & -m).bit_length() - 1
     if twos:
@@ -224,21 +252,29 @@ def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
     step = index if index % 2 == 0 else 2 * index
     c = 1 + step
     if m >= TRIAL_BOUND * TRIAL_BOUND and gcd(m, _ODD_PRIMES_BELOW_BOUND) == 1:
-        # No odd prime below the bound divides m: skip straight past them.
-        c = TRIAL_BOUND + 1
+        # No odd prime below the bound divides m: skip straight past them,
+        # to the first candidate above the bound that is 1 mod step.
+        c = 1 + step * -(-TRIAL_BOUND // step)
     while c < TRIAL_BOUND and c * c <= m:
         while m % c == 0:
             exps[c] = exps.get(c, 0) + 1
             m //= c
         c += step
+    limit = step * TRIAL_BOUND // 2
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
         if m < c * c or is_prime(m):
             exps[m] = exps.get(m, 0) + 1
-        else:
-            r = _pollard_rho(m)
-            stack += (r, m // r)
+            continue
+        # m is composite, so the first candidate from c on that divides it
+        # is its least prime, at most sqrt(m).  Rho first runs once c has
+        # reached the limit, so while c moves the stack holds no other
+        # composite that could hide a prime below c.
+        while c < limit and m % c:
+            c += step
+        r = c if c < limit else _pollard_rho(m)
+        stack += (r, m // r)
 
 
 def factorize(n: int) -> Factorization:
@@ -252,8 +288,12 @@ def factorize(n: int) -> Factorization:
     that are 1 mod d (mod 2d for odd d; any other n is tried by the odd c),
     while c^2 <= m (see _factor_into).  An odd cofactor of at least 2^20
     coprime to every odd prime below TRIAL_BOUND skips trial division.  A
-    cofactor below c^2, for c the first candidate not tried, is prime;
-    Pollard rho, with Miller-Rabin certification, splits what is left.
+    cofactor below c^2, for c the first candidate not tried, is prime; one
+    above is tested once by Miller-Rabin with Sinclair's seven bases (see
+    is_prime).  A composite cofactor of a piece Phi_d(2) is trial-divided
+    on while c < step * TRIAL_BOUND / 2 (step = d or 2d), which is as many
+    candidates as an odd n gets below TRIAL_BOUND, so any other n tries
+    exactly those.  Pollard rho splits what is left.
     """
     if n < 1:
         raise ValueError("cannot factor n < 1")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chargraph import arith
 from chargraph.arith import (
     TRIAL_BOUND,
     U64_MAX,
@@ -144,6 +146,14 @@ class TestTwoPowerPlusMinusOne:
                 indices = {d for d in range(2, top + 1) if top % d == 0 and (top == k or k % d)}
                 assert {d for d, _ in pieces} == indices, n
 
+    def test_pieces_multiply_back_for_every_small_n(self):
+        # 2 = 2^0 + 1 is no 2^k + 1 with k >= 1: it stays whole.
+        assert _cyclotomic_pieces(2) == [(1, 2)]
+        for n in [*range(1, 2**12 + 1), *KNOWN_2K]:
+            pieces = _cyclotomic_pieces(n)
+            assert math.prod(v for _, v in pieces) == n, n
+            assert all(v > 1 for _, v in pieces), n
+
     def test_prime_shared_by_two_pieces(self):
         # Phi_2(2) = Phi_6(2) = 3, Phi_14(2) = 43, Phi_42(2) = 5419.
         assert sorted(_cyclotomic_pieces(2**21 + 1)) == [(2, 3), (6, 3), (14, 43), (42, 5419)]
@@ -186,8 +196,12 @@ class TestTwoPowerPlusMinusOne:
             assert _cyclotomic_pieces(n) == [(1, n)]
 
 
+# Every 2^k -+ 1 <= U64_MAX that _cyclotomic_pieces splits: all but
+# 2 = 2^0 + 1, which it returns whole as (1, 2).
+SPLIT_2K = [n for n in KNOWN_2K if n > 2]
+
 # Every index d that _cyclotomic_pieces emits for some 2^k -+ 1 <= U64_MAX.
-EMITTED_INDICES = sorted({d for n in KNOWN_2K for d, _ in _cyclotomic_pieces(n)})
+EMITTED_INDICES = sorted({d for n in SPLIT_2K for d, _ in _cyclotomic_pieces(n)})
 
 
 class TestResidueRule:
@@ -208,7 +222,7 @@ class TestResidueRule:
     def test_each_piece_divides_the_value_of_its_index(self):
         sympy = pytest.importorskip("sympy")
         phi = {d: int(sympy.cyclotomic_poly(d, 2)) for d in EMITTED_INDICES}
-        for n in KNOWN_2K:
+        for n in SPLIT_2K:
             for d, v in _cyclotomic_pieces(n):
                 assert phi[d] % v == 0, (n, d, v)
 
@@ -270,6 +284,49 @@ class TestGcdScreen:
         assert Factorization(fac.n, fac.factors) == fac
 
 
+class TestTrialDivisionBeforeRho:
+    """A composite cofactor of a piece Phi_d(2) is trial-divided on, by the
+    candidates 1 mod step below step * TRIAL_BOUND / 2, before Pollard rho;
+    any other n goes to rho as soon as trial division below TRIAL_BOUND and
+    Miller-Rabin are done."""
+
+    @staticmethod
+    def rho_inputs(monkeypatch, run):
+        seen = []
+        rho = arith._pollard_rho
+        monkeypatch.setattr(arith, "_pollard_rho", lambda n: seen.append(n) or rho(n))
+        run()
+        return seen
+
+    def test_rho_inputs_over_two_power_plus_minus_one(self, monkeypatch):
+        def run():
+            for f in range(2, 64):
+                factorize(2**f - 1)
+                factorize(2**f + 1)
+        # Trial division below TRIAL_BOUND alone leaves 22 cofactors to rho.
+        assert self.rho_inputs(monkeypatch, run) == [
+            858001 * 308761441,  # a piece of 2^52 + 1
+            69431 * 20394401,  # 2^53 - 1
+            2**59 - 1,
+            92737 * 649657,  # a piece of 2^63 - 1
+        ]
+
+    def test_other_n_go_to_rho_at_the_bound(self, monkeypatch):
+        p, q = PRIMES_ABOVE_BOUND[:2]
+        exps: dict[int, int] = {}
+        assert self.rho_inputs(monkeypatch, lambda: _factor_into(p * q, exps, 1)) == [p * q]
+        assert exps == {p: 1, q: 1}
+
+    @pytest.mark.parametrize("index", [52, 59, 63, 104, 126])
+    def test_primes_past_the_bound_found_by_trial_division(self, monkeypatch, index):
+        # Two primes 1 mod step above TRIAL_BOUND, inside the extension.
+        step = index if index % 2 == 0 else 2 * index
+        p, q = [c for c in range(1 + step, 8 * TRIAL_BOUND, step) if c > TRIAL_BOUND and trial_is_prime(c)][:2]
+        exps: dict[int, int] = {}
+        assert self.rho_inputs(monkeypatch, lambda: _factor_into(p * p * q, exps, index)) == []
+        assert exps == {p: 2, q: 1}
+
+
 class TestFactorizationType:
     @pytest.mark.parametrize("factors", [[(2, 2), (3, 1)], [[2, 2], [3, 1]]])
     def test_stores_factors_as_tuples(self, factors):
@@ -310,6 +367,10 @@ class TestPrimeDivisors:
             assert prime_divisors(n) == trial_prime_divisors(n)
 
 
+# Sinclair's witness set, which is_prime tests.
+BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+
 class TestIsPrime:
     def test_examples(self):
         assert is_prime(2**13 - 1)
@@ -323,8 +384,54 @@ class TestIsPrime:
         assert not is_prime(4)
 
     def test_matches_trial_division(self):
-        for n in range(0, 20_000):
+        for n in range(0, 2**18):
             assert is_prime(n) == trial_is_prime(n)
+
+    def test_divisors_of_the_bases(self):
+        # A base that is 0 mod n is skipped: n = 73, 193, 14089, 407521 and
+        # 299210837, among others, divide one of the seven.
+        divisors = set()
+        for base in BASES:
+            ds = [1]
+            for p, e in trial_factorize(base):
+                ds = [d * p**i for d in ds for i in range(e + 1)]
+            divisors.update(d for d in ds if d > 1)
+        assert {73, 193, 14089, 407521, 299210837} <= divisors
+        for n in sorted(divisors):
+            assert is_prime(n) == trial_is_prime(n), n
+
+    @pytest.mark.parametrize("primes", [
+        # OEIS A014233: the least strong pseudoprime to the first k prime
+        # bases, for k = 1..12 (k = 7, 8 share one value, k = 9..12 the last).
+        (23, 89), (829, 1657), (2251, 11251), (151, 751, 28351),
+        (6763, 10627, 29947), (1303, 16927, 157543), (10670053, 32010157),
+        (149491, 747451, 34233211),
+    ])
+    def test_strong_pseudoprimes_to_prime_bases(self, primes):
+        assert all(trial_is_prime(p) for p in primes)
+        assert not is_prime(math.prod(primes))
+
+    @pytest.mark.parametrize("n", [
+        561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
+        9746347772161,  # 7 * 11 * 13 * 17 * 19 * 31 * 37 * 41 * 641
+    ])
+    def test_carmichael_numbers(self, n):
+        factors = trial_factorize(n)
+        # Korselt: square-free, with p - 1 dividing n - 1 for every prime p.
+        assert len(factors) >= 3 and all(e == 1 and (n - 1) % (p - 1) == 0 for p, e in factors)
+        assert not is_prime(n)
+
+    def test_matches_sympy_on_sampled_u64(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1909)
+        sample = [rng.randrange(2**64) for _ in range(2000)]
+        sample += [rng.randrange(2**63, 2**64) | 1 for _ in range(2000)]
+        # Products of two 32-bit primes, which no small-prime division finds.
+        for _ in range(200):
+            p, q = (sympy.nextprime(rng.randrange(2**31, 2**32 - 2**16)) for _ in range(2))
+            sample.append(p * q)
+        for n in sample:
+            assert is_prime(n) == sympy.isprime(n), n
 
     def test_large_known_values(self):
         assert is_prime(2**61 - 1)
