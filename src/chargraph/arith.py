@@ -5,23 +5,10 @@ prime divisors of base^n - 1.  Everything here is a pure function of its
 arguments, with no table, no cache and no setting: Pollard rho is seeded
 from the number it splits, so repeated calls give identical results.
 
-factorize splits 2^k -+ 1 into its cyclotomic (and, for 2^(4h+2) + 1, its
-Aurifeuillean) pieces before factoring each piece, as in the Cunningham
-tables of Brillhart et al., "Factorizations of b^n +- 1".  A prime dividing
-the piece Phi_d(2) is 1 mod d, or it is the largest prime of d and divides
-the piece once (Bang 1886), so a piece is trial-divided only by candidates
-1 mod d (mod 2d for odd d).  One gcd with the product of the odd primes
-below TRIAL_BOUND tells factorize when trial division would find nothing.
-Every prime left after trial division is at least the first candidate c
-not tried, so factorize takes a cofactor below c^2 as prime without a
-Miller-Rabin test.  A composite cofactor of a piece is trial-divided further,
-as long as that takes no more candidates than the odd c below TRIAL_BOUND,
-before Pollard rho gets it.
-
-is_prime is Miller-Rabin with Sinclair's seven bases (2, 325, 9375, 28178,
-450775, 9780504, 1795265022).  Feitsma and Galway listed every base-2 strong
-pseudoprime below 2^64, and none of them is a strong probable prime to all
-seven bases, so the test is exact on the whole u64 range.
+Each rule is stated once, where it runs: _cyclotomic_pieces splits 2^k -+ 1
+as the Cunningham tables do (Brillhart et al., "Factorizations of
+b^n +- 1"), _factor_into trial-divides a piece by Bang's rule (1886), and
+is_prime tests Sinclair's witness set.
 """
 
 from __future__ import annotations
@@ -35,14 +22,13 @@ from ._value import Value
 
 U64_MAX = 2**64 - 1
 
-# Trial division stops below this bound; a cofactor left with no smaller
-# factor is certified by Miller-Rabin or split by Pollard rho.
+# Trial division's first pass tries candidates below this bound; _factor_into
+# says when a composite cofactor is trial-divided past it.
 TRIAL_BOUND = 1 << 10
 
-# The product of the odd primes below TRIAL_BOUND: an odd cofactor coprime to
-# it has no factor that trial division could find.  Written out, because
-# computing it made importing chargraph about 4% slower; tests/test_arith.py
-# rebuilds it.
+# The product of the odd primes below TRIAL_BOUND, for _factor_into's gcd
+# screen.  Written out, because computing it made importing chargraph about
+# 4% slower; tests/test_arith.py rebuilds it.
 _ODD_PRIMES_BELOW_BOUND = int(
     "5be8bcb40df053d086730478a67ff52857e9cd2c922dffdefb49eb85c874fa94"
     "871f9903efdd8d42357186ead068ab1275bddf957dea3af6eb4f6d872eee1575"
@@ -56,7 +42,7 @@ _ODD_PRIMES_BELOW_BOUND = int(
 # is_prime divides by these first: a cheap answer for most composites.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Sinclair's witness set, exact below 2^64 (see is_prime).
+# Sinclair's witness set (see is_prime).
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
@@ -69,10 +55,10 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for all n < 2^64.
 
     After division by the primes up to 37, n is tested to Sinclair's seven
-    bases (2, 325, 9375, 28178, 450775, 9780504, 1795265022), each reduced
-    mod n and skipped when it is 0 mod n.  By Feitsma and Galway's list of
-    the base-2 strong pseudoprimes below 2^64, no composite n < 2^64 passes
-    all seven.
+    bases _MR_BASES, each reduced mod n and skipped when it is 0 mod n.
+    Feitsma and Galway listed every base-2 strong pseudoprime below 2^64,
+    and none of them is a strong probable prime to all seven bases, so no
+    composite n < 2^64 passes.
     """
     _check_width(n)
     if n < 2:
@@ -175,9 +161,6 @@ class Factorization(Value):
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
 
 def _cyclotomic_pieces(n: int) -> list[tuple[int, int]]:
     """Pairs (d, piece) of factors > 1 of n whose product is n, split by
@@ -230,16 +213,18 @@ def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
     index for even index and 2 * index for odd index.  Trial division tries
     only the candidates c = 1 + step, 1 + 2 * step, ... below TRIAL_BOUND
     while c^2 <= m; a composite candidate never divides m, since its primes
-    were tried before it.  Every prime left is at least the first candidate
-    c not tried, so a cofactor below c^2 is prime.
+    were tried before it.  An m >= TRIAL_BOUND^2 coprime to every odd prime
+    below TRIAL_BOUND (one gcd with _ODD_PRIMES_BELOW_BOUND) skips this pass:
+    c starts at the first candidate above TRIAL_BOUND.  Every prime left is
+    at least the first candidate c not tried, so a cofactor below c^2 is
+    prime.
 
     Each cofactor of at least c^2 is proved prime or shown composite once.
     A composite one is trial-divided further, while c < step * TRIAL_BOUND / 2
     (and c^2 <= m, which holds until c meets its least prime), before it
     goes to Pollard rho: that is at most the TRIAL_BOUND / 2 candidates an
-    odd n has below TRIAL_BOUND.  For index 1 (step 2) the bound is
-    TRIAL_BOUND itself, so any n other than a piece of 2^k -+ 1 tries the
-    same candidates as without the extension.
+    odd n has below TRIAL_BOUND.  For index 1 (step 2) that limit is
+    TRIAL_BOUND itself.
     """
     twos = (m & -m).bit_length() - 1
     if twos:
@@ -252,8 +237,6 @@ def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
     step = index if index % 2 == 0 else 2 * index
     c = 1 + step
     if m >= TRIAL_BOUND * TRIAL_BOUND and gcd(m, _ODD_PRIMES_BELOW_BOUND) == 1:
-        # No odd prime below the bound divides m: skip straight past them,
-        # to the first candidate above the bound that is 1 mod step.
         c = 1 + step * -(-TRIAL_BOUND // step)
     while c < TRIAL_BOUND and c * c <= m:
         while m % c == 0:
@@ -278,22 +261,12 @@ def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1 into primes.
+    """Factor 1 <= n <= U64_MAX into primes.
 
-    From 2^20 = TRIAL_BOUND^2 up, n = 2^k -+ 1 is first split into its
-    cyclotomic pieces (see _cyclotomic_pieces) and each piece Phi_d(2) is
-    factored alone, with exponents added across pieces.  A piece, or any
-    other n, loses its factors of 2 and, for a piece, the prime it shares
-    with d; trial division then tries only the candidates c < TRIAL_BOUND
-    that are 1 mod d (mod 2d for odd d; any other n is tried by the odd c),
-    while c^2 <= m (see _factor_into).  An odd cofactor of at least 2^20
-    coprime to every odd prime below TRIAL_BOUND skips trial division.  A
-    cofactor below c^2, for c the first candidate not tried, is prime; one
-    above is tested once by Miller-Rabin with Sinclair's seven bases (see
-    is_prime).  A composite cofactor of a piece Phi_d(2) is trial-divided
-    on while c < step * TRIAL_BOUND / 2 (step = d or 2d), which is as many
-    candidates as an odd n gets below TRIAL_BOUND, so any other n tries
-    exactly those.  Pollard rho splits what is left.
+    Raises ValueError for n < 1 and OverflowError above U64_MAX.  From
+    2^20 = TRIAL_BOUND^2 up, n = 2^k -+ 1 is split into its pieces
+    (_cyclotomic_pieces); any other n is one piece of index 1.  Each piece
+    goes to _factor_into, with exponents added across pieces.
     """
     if n < 1:
         raise ValueError("cannot factor n < 1")

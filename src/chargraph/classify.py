@@ -219,7 +219,7 @@ def scan_lemma_interest(f_max: int) -> list[ScanHit]:
         if f == 4:
             clause, witness = "a", "2^4 - 1 = 3 * 5 and 2^4 + 1 = 17"
         elif is_prime(f) and f >= 5 and is_prime(q - 1):
-            plus = factorize(q + 1).as_dict()
+            plus = dict(factorize(q + 1).factors)
             others = sorted(p for p in plus if p != 3)
             if plus.get(3) == 1 and len(others) == 1 and plus[others[0]] % 2 == 1:
                 t, beta = others[0], plus[others[0]]

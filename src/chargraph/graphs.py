@@ -11,9 +11,10 @@ constructor and CharGraph.from_json run Miller-Rabin on every vertex and
 reject self-loops and edges leaving the vertex set.  The builders inside
 the package (graph_from_cd, join, disjoint_union, complement and the shape
 leaves) take their vertices from factorize, from arith.primes() or from an
-existing CharGraph, so they are proven primes already; those builders go
-through CharGraph._trusted and skip the test, which tests/test_graphs.py
-pays for instead by re-certifying their output.
+existing CharGraph, so they are proven primes already, and each edge they
+add has two distinct such endpoints; those builders go through
+CharGraph._trusted, which checks nothing, and tests/test_graphs.py pays for
+the check instead by re-certifying their output.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ def _int_list(values, what: str) -> list[int]:
 class CharGraph(Value):
     """An immutable simple graph on prime-number vertices.
 
-    CharGraph(vertices, edges) and from_json certify their input: every
-    vertex prime, no self-loop, no edge outside the vertex set.  _trusted
-    builds from values the package has already proven and checks nothing.
-    Both end in _build, the one place a graph is assembled.  Value gives
-    equality, hashing and read-only fields over vertices and edges, and
-    copies and unpickles through the certifying constructor.
+    The constructor, from_json and _trusted (see the module docstring for
+    which of them certify) all end in _build, the one place a graph is
+    assembled.  Value gives equality, hashing and read-only fields over
+    vertices and edges, and copies and unpickles through the certifying
+    constructor.
     """
 
     __slots__ = ("vertices", "edges", "_adj")
@@ -68,8 +68,8 @@ class CharGraph(Value):
 
     @classmethod
     def _trusted(cls, vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> "CharGraph":
-        """A graph on vertices already proven prime, with edges already known
-        to join two distinct of them; nothing is checked."""
+        """The constructor of the package's own builders (see the module
+        docstring)."""
         g = cls.__new__(cls)
         g._build(vertices, edges)
         return g
@@ -245,8 +245,6 @@ def are_isomorphic(a: CharGraph, b: CharGraph) -> dict[int, int] | None:
     """
     _check_search_bound(a)
     _check_search_bound(b)
-    if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
-        return None
     deg_a = {v: a.degree(v) for v in a.vertices}
     deg_b = {w: b.degree(w) for w in b.vertices}
     if sorted(deg_a.values()) != sorted(deg_b.values()):

@@ -211,17 +211,20 @@ def test_zsigmondy_bounds_never_exceed_the_counts():
 
 @pytest.mark.parametrize("f", range(2, F_MAX + 1))
 def test_zsigmondy_primes_witness_the_bounds(f):
-    # d | 2f reaches 2f, and zsigmondy(2, d) refuses d > 64, so the 2^f + 1
-    # side is checked for f <= 32 only.  test_arith.py pins zsigmondy's
-    # primes against a brute-force oracle.
+    # For each d that a bound counts, the least prime of 2^f -+ 1 in the
+    # factor table whose order of 2 is exactly d.  Those are the primitive
+    # primes of 2^d - 1, so the least is zsigmondy(2, d) wherever zsigmondy
+    # accepts d (d <= 64); test_arith.py pins zsigmondy against a
+    # brute-force oracle.
     assert zsigmondy(2, 1) is None and zsigmondy(2, 6) is None
-    sides = [(2**f - 1, [d for d in divisors(f) if d not in (1, 6)])]
-    if f <= 32:
-        sides.append((2**f + 1, [d for d in divisors(2 * f) if f % d != 0 and d != 6]))
-    for (n, ds), bound in zip(sides, zsigmondy_bounds(f)):
-        ps = [zsigmondy(2, d) for d in ds]
+    [(minus, plus)] = [(minus, plus) for g, minus, plus in FACTOR_TABLE if g == f]
+    sides = [(minus, [d for d in divisors(f) if d not in (1, 6)]),
+             (plus, [d for d in divisors(2 * f) if f % d != 0 and d != 6])]
+    for (factors, ds), bound in zip(sides, zsigmondy_bounds(f)):
+        order = {p: next(k for k in range(1, 2 * f + 1) if pow(2, k, p) == 1) for p, _ in factors}
+        ps = [min(p for p in order if order[p] == d) for d in ds]
         assert len(set(ps)) == len(ps) == bound
-        assert all(n % p == 0 for p in ps), (f, n)
+        assert all(p == zsigmondy(2, d) for p, d in zip(ps, ds) if d <= 64), f
 
 
 def test_palfy_fails_exactly_on_the_independent_triples_of_psl2_32():

@@ -76,6 +76,15 @@ class TestParse:
         assert err.value.position == 5
         assert "position 5" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["K²", "K٣"])
+    def test_sizes_are_ascii_digits_only(self, text):
+        # str.isdigit accepts both: int() rejects the superscript, and would
+        # read the Arabic-Indic digit as 3.
+        with pytest.raises(ShapeSyntaxError) as err:
+            parse_shape(text)
+        assert err.value.position == 1
+        assert str(err.value) == "expected an integer (at position 1)"
+
     def test_small_cycle_rejected_with_position(self):
         with pytest.raises(ShapeSyntaxError) as err:
             parse_shape("K2 + C2")
