@@ -9,9 +9,6 @@ they have the same type and equal fields; the hash is over the fields;
 assigning or deleting a field raises AttributeError; the repr reads
 ``Name(field=...)``.  Copying and pickling call the class again with the
 fields, positionally.
-
-A subclass with a slot derived from its fields returns the fields alone
-from _field_values, in constructor order, and writes its own __repr__.
 """
 
 

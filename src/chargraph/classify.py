@@ -96,7 +96,8 @@ def classify_f(f: int) -> CaseReport:
     Case I: both counts 1; II: both 2; III: both 3; anything else (mixed
     counts included) is no case.  Reports are memoized: f has at most
     F_MAX - 1 values, and verify_main and the scanners ask for the same f
-    again.  A bad f raises and is not kept.
+    again.  The cache is on _classify, as bench/tracing.py spans only plain
+    functions and a cache wrapper is not one.
     """
     _check_range(f, "f")
     return _classify(f)

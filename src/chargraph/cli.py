@@ -155,6 +155,15 @@ def cmd_check_solvable(args) -> tuple[int, object, str]:
     return (0 if palfy and shape else 1), {"graph": g, "palfy": palfy, "solvable_shape": shape}, table
 
 
+def integer(text: str) -> int:
+    """An integer argument: an optional '-', then ASCII digits only.  int()
+    alone also reads other scripts' digits, underscores and spaces."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chargraph",
@@ -169,17 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("factor", cmd_factor)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=integer)
 
     p = add("pi", cmd_pi)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=integer)
 
     p = add("zsigmondy", cmd_zsigmondy)
-    p.add_argument("base", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("base", type=integer)
+    p.add_argument("n", type=integer)
 
     p = add("psl2-graph", cmd_psl2_graph, "json", ("json", "dot", "table"))
-    p.add_argument("q", type=int)
+    p.add_argument("q", type=integer)
 
     p = add("parse-shape", cmd_parse_shape, "json", ("json", "dot", "table"))
     p.add_argument("expr")
@@ -189,15 +198,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("second", help="graph JSON file, inline JSON, or shape expression")
 
     p = add("classify-f", cmd_classify_f)
-    p.add_argument("f", type=int)
+    p.add_argument("f", type=integer)
 
     p = add("verify-main", cmd_verify_main)
-    p.add_argument("--f", type=int, required=True)
+    p.add_argument("--f", type=integer, required=True)
     p.add_argument("--radical", help="JSON file: list of degree sets")
 
     p = add("scan", cmd_scan)
     p.add_argument("which", choices=sorted(_SCANNERS))
-    p.add_argument("--max", type=int)
+    p.add_argument("--max", type=integer)
 
     p = add("check-solvable", cmd_check_solvable)
     p.add_argument("cd_file")

@@ -42,16 +42,12 @@ def _int_list(values, what: str) -> list[int]:
 
 
 class CharGraph(Value):
-    """An immutable simple graph on prime-number vertices.
-
-    The constructor, from_json and _trusted (see the module docstring for
-    which of them certify) all end in _build, the one place a graph is
-    assembled.  Value gives equality, hashing and read-only fields over
-    vertices and edges, and copies and unpickles through the certifying
-    constructor.
+    """An immutable simple graph on prime-number vertices: the sorted tuples
+    vertices and edges, each edge (low, high), and nothing else.  Every
+    constructor ends in _build; copies go through the certifying one.
     """
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> None:
         vs = set(vertices)
@@ -68,25 +64,15 @@ class CharGraph(Value):
 
     @classmethod
     def _trusted(cls, vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> "CharGraph":
-        """The constructor of the package's own builders (see the module
-        docstring)."""
+        """The unchecked constructor of the package's own builders."""
         g = cls.__new__(cls)
         g._build(vertices, edges)
         return g
 
     def _build(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> None:
-        vs = tuple(sorted(set(vertices)))
-        es = tuple(sorted({(a, b) if a < b else (b, a) for a, b in edges}))
-        adj: dict[int, set[int]] = {v: set() for v in vs}
-        for a, b in es:
-            adj[a].add(b)
-            adj[b].add(a)
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", es)
-        object.__setattr__(self, "_adj", adj)
-
-    def _field_values(self) -> tuple:
-        return self.vertices, self.edges
+        es = {(a, b) if a < b else (b, a) for a, b in edges}
+        object.__setattr__(self, "vertices", tuple(sorted(set(vertices))))
+        object.__setattr__(self, "edges", tuple(sorted(es)))
 
     @property
     def vertex_count(self) -> int:
@@ -95,12 +81,6 @@ class CharGraph(Value):
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return b in self._adj.get(a, ())
 
     def __repr__(self) -> str:
         return f"CharGraph(vertices={list(self.vertices)}, edges={[list(e) for e in self.edges]})"
@@ -199,8 +179,18 @@ def disjoint_union(*gs: CharGraph) -> CharGraph:
 
 
 def complement(g: CharGraph) -> CharGraph:
-    edges = [e for e in combinations(g.vertices, 2) if not g.has_edge(*e)]
+    present = set(g.edges)
+    edges = [e for e in combinations(g.vertices, 2) if e not in present]
     return CharGraph._trusted(g.vertices, edges)
+
+
+def _adjacency(g: CharGraph) -> dict[int, set[int]]:
+    """{v: the set of v's neighbours}, built for each search that reads it."""
+    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
 
 
 def _check_search_bound(g: CharGraph) -> None:
@@ -222,7 +212,7 @@ def is_kn_free(g: CharGraph, n: int) -> bool:
     if n < 2:
         raise ValueError("clique size must be >= 2")
     _check_search_bound(g)
-    return not _has_clique(g._adj, g.vertices, n)
+    return not _has_clique(_adjacency(g), g.vertices, n)
 
 
 def _has_clique(adj: dict[int, set[int]], candidates: tuple[int, ...] | list[int], k: int) -> bool:
@@ -245,8 +235,9 @@ def are_isomorphic(a: CharGraph, b: CharGraph) -> dict[int, int] | None:
     """
     _check_search_bound(a)
     _check_search_bound(b)
-    deg_a = {v: a.degree(v) for v in a.vertices}
-    deg_b = {w: b.degree(w) for w in b.vertices}
+    adj_a, adj_b = _adjacency(a), _adjacency(b)
+    deg_a = {v: len(near) for v, near in adj_a.items()}
+    deg_b = {w: len(near) for w, near in adj_b.items()}
     if sorted(deg_a.values()) != sorted(deg_b.values()):
         return None
     order = sorted(a.vertices, key=lambda v: (-deg_a[v], v))
@@ -260,7 +251,7 @@ def are_isomorphic(a: CharGraph, b: CharGraph) -> dict[int, int] | None:
         for w in b.vertices:
             if w in used or deg_b[w] != deg_a[v]:
                 continue
-            if all(a.has_edge(v, u) == b.has_edge(w, mapping[u]) for u in mapping):
+            if all((u in adj_a[v]) == (mapping[u] in adj_b[w]) for u in mapping):
                 mapping[v] = w
                 used.add(w)
                 if extend(i + 1):

@@ -190,18 +190,18 @@ def _eval(expr: GraphExpr, labels: Iterator[int]) -> CharGraph:
     # Not held in _OPERATORS: read at call time, a wrapper bound to either name sees each call.
     if isinstance(expr, Union):
         return disjoint_union(*(_eval(p, labels) for p in expr.parts))
-    if isinstance(expr, Join):
-        return graph_join(*(_eval(p, labels) for p in expr.parts))
-    raise TypeError(f"not a shape expression: {expr!r}")
+    return graph_join(*(_eval(p, labels) for p in expr.parts))
 
 
 def _leaf_vertices(expr: GraphExpr) -> int:
-    """The vertex count of expr's graph: the sum of its leaves' sizes."""
+    """expr's vertex count, the sum of its leaves' sizes; TypeError on any non-shape node."""
     if isinstance(expr, (Complete, Cycle)):
         return expr.n
     if isinstance(expr, Complement):
         return _leaf_vertices(expr.inner)
-    return sum(_leaf_vertices(p) for p in expr.parts)
+    if isinstance(expr, (Union, Join)):
+        return sum(_leaf_vertices(p) for p in expr.parts)
+    raise TypeError(f"not a shape expression: {expr!r}")
 
 
 def eval_shape(expr: GraphExpr) -> CharGraph:

@@ -339,6 +339,10 @@ class TestFactorizationType:
         factors.append((5, 1))  # the caller's list is not the stored value
         assert fac == factorize(12)
 
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError, match="factored value must be positive"):
+            Factorization(0, ())
+
     def test_rejects_bad_product(self):
         with pytest.raises(ValueError):
             Factorization(10, ((2, 1), (3, 1)))

@@ -67,6 +67,9 @@ def test_verify_main_accepts_a_radical_with_large_primes():
     (2, [[1, 3, 11], [1, 13, 17]], "factor 0 reuses socle primes [3]"),
     (6, [[1, 11, 17], [1, 19, 23]], "case II needs exactly 1 radical factor(s), got 2"),
     (14, [[1, 7, 11]], "case III radical must be abelian; factor 0 has primes [7, 11]"),
+    (2, [[1, 11, 13], [1, 11, 17]], "factor 1 reuses primes [11] of an earlier factor"),
+    (6, [[1, 11, 17, 19]], "factor 0 must contribute exactly 2 primes, has [11, 17, 19]"),
+    (6, [[1, 187]], "factor 0 must have an edgeless graph"),
 ])
 def test_verify_main_rejects_a_nonconforming_radical(f, radical, message):
     with pytest.raises(RadicalValidationError) as info:

@@ -61,6 +61,32 @@ def test_scanner_bound_out_of_range_exits_2_with_one_line(argv, message, capsys)
     code = cli.main(argv)
     assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "evenfive", "--max", "12"],
+    ["scan", "oddfour", "--max", "30"],
+], ids=["evenfive", "oddfour"])
+def test_scan_with_a_counterexample_exits_1(argv, monkeypatch, capsys):
+    # No f or q up to the bound is a counterexample; reading every number
+    # as composite takes the clauses that need a prime away.
+    monkeypatch.setattr(classify, "is_prime", lambda n: False)
+    code = cli.main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert any("COUNTEREXAMPLE" in line.split() for line in lines[:-1])
+    assert not lines[-1].endswith(" 0 counterexample(s)")
+
+
+@pytest.mark.parametrize("argv", [["factor", "١٢"], ["factor", "1_2"], ["classify-f", "٦"]],
+                         ids=["arabic-indic-digits", "underscore", "arabic-indic-f"])
+def test_integer_arguments_take_ascii_digits_only(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert f"invalid integer value: {argv[1]!r}" in err
+
+
 DEEP = "(" * 400 + "K1" + ")" * 400
 
 

@@ -137,7 +137,7 @@ class TestEval:
     def test_cycle_structure(self):
         g = eval_shape(parse_shape("C5"))
         assert g.vertex_count == 5
-        assert all(g.degree(v) == 2 for v in g.vertices)
+        assert sorted(v for e in g.edges for v in e) == sorted(g.vertices * 2)
 
     def test_complete_zero(self):
         g = eval_shape(parse_shape("K0"))
@@ -160,6 +160,13 @@ class TestEval:
     def test_vertex_cap_admits_shapes_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(shapes, "_eval", lambda *_: "built")
         assert eval_shape(Union((Cycle(MAX_VERTICES - 1), Complete(1)))) == "built"
+
+    @pytest.mark.parametrize("expr", ["K3", Union((Complete(1), "K2")), Complement(None)],
+                             ids=["text", "text-part", "none-inside"])
+    @pytest.mark.parametrize("function", [eval_shape, render_shape], ids=["eval", "render"])
+    def test_a_non_shape_is_a_type_error(self, function, expr):
+        with pytest.raises(TypeError, match="^not a shape expression: "):
+            function(expr)
 
     @settings(max_examples=100)
     @given(shape_asts)

@@ -144,13 +144,6 @@ def test_graph_copies_recertify_every_vertex(monkeypatch, clone):
     assert tested == list(g.vertices)
 
 
-def test_graph_adjacency_is_read_only():
-    g = VALUES["CharGraph"][0]()
-    with pytest.raises(AttributeError):
-        g._adj = {}
-    assert g.has_edge(2, 3) and not g.has_edge(2, 7)
-
-
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     # -S keeps site's .pth preloads out of sys.modules.
     code = (
