@@ -26,19 +26,6 @@ U64_MAX = 2**64 - 1
 # says when a composite cofactor is trial-divided past it.
 TRIAL_BOUND = 1 << 10
 
-# The product of the odd primes below TRIAL_BOUND, for _factor_into's gcd
-# screen.  Written out, because computing it made importing chargraph about
-# 4% slower; tests/test_arith.py rebuilds it.
-_ODD_PRIMES_BELOW_BOUND = int(
-    "5be8bcb40df053d086730478a67ff52857e9cd2c922dffdefb49eb85c874fa94"
-    "871f9903efdd8d42357186ead068ab1275bddf957dea3af6eb4f6d872eee1575"
-    "aa93fb0128f184dc6534aa0297675ef2063fc0a73d470bb8c26d87c125e7d2b4"
-    "db0f4ff5aab5642e59fcb01ec26a013eaf28726c3f7541b2cbec9cead20bf5a8"
-    "668fc4d8f6d690298ab0f02f7086fdeb47cc4463f61cf3cd9d6b88a672998fd4"
-    "8537c4d5c424516cca491e8435d05cc9e19",
-    16,
-)
-
 # is_prime divides by these first: a cheap answer for most composites.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -213,11 +200,8 @@ def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
     index for even index and 2 * index for odd index.  Trial division tries
     only the candidates c = 1 + step, 1 + 2 * step, ... below TRIAL_BOUND
     while c^2 <= m; a composite candidate never divides m, since its primes
-    were tried before it.  An m >= TRIAL_BOUND^2 coprime to every odd prime
-    below TRIAL_BOUND (one gcd with _ODD_PRIMES_BELOW_BOUND) skips this pass:
-    c starts at the first candidate above TRIAL_BOUND.  Every prime left is
-    at least the first candidate c not tried, so a cofactor below c^2 is
-    prime.
+    were tried before it.  Every prime left is at least the first candidate
+    c not tried, so a cofactor below c^2 is prime.
 
     Each cofactor of at least c^2 is proved prime or shown composite once.
     A composite one is trial-divided further, while c < step * TRIAL_BOUND / 2
@@ -236,8 +220,6 @@ def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
         m //= g
     step = index if index % 2 == 0 else 2 * index
     c = 1 + step
-    if m >= TRIAL_BOUND * TRIAL_BOUND and gcd(m, _ODD_PRIMES_BELOW_BOUND) == 1:
-        c = 1 + step * -(-TRIAL_BOUND // step)
     while c < TRIAL_BOUND and c * c <= m:
         while m % c == 0:
             exps[c] = exps.get(c, 0) + 1

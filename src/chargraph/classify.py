@@ -195,13 +195,14 @@ class ScanHit(Value):
     key is the scanned value (f, or q for oddfour); clause is the lemma
     clause the hit fits ("ok" for evenfive, whose lemma has one), None for
     a counterexample; detail is the witness or reason shown in the table;
-    fields is the hit's JSON object.
+    fields is the hit's JSON object as (name, value) pairs, with a tuple for
+    each JSON list, so the hit hashes and no caller can change it.
     """
 
     __slots__ = ("key", "clause", "detail", "fields")
 
     def to_json(self) -> dict:
-        return self.fields
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in self.fields}
 
 
 def scan_lemma_interest(f_max: int) -> list[ScanHit]:
@@ -226,7 +227,7 @@ def scan_lemma_interest(f_max: int) -> list[ScanHit]:
                 t, beta = others[0], plus[others[0]]
                 clause = "b"
                 witness = f"2^{f} - 1 = {q - 1} prime; 2^{f} + 1 = 3 * {t}^{beta}"
-        fields = {"f": f, "sizes": list(sizes), "clause": clause, "witness": witness}
+        fields = (("f", f), ("sizes", sizes), ("clause", clause), ("witness", witness))
         hits.append(ScanHit(f, clause, witness, fields))
     return hits
 
@@ -245,7 +246,7 @@ def scan_lemma_evenfive(f_max: int) -> list[ScanHit]:
             clause, reason = "ok", "f prime"
         else:
             clause, reason = None, "f composite and not 6 or 9"
-        fields = {"f": f, "conforming": clause is not None, "reason": reason}
+        fields = (("f", f), ("conforming", clause is not None), ("reason", reason))
         hits.append(ScanHit(f, clause, reason, fields))
     return hits
 
@@ -271,7 +272,7 @@ def scan_lemma_oddfour(q_max: int) -> list[ScanHit]:
             clause = "c"
         else:
             clause = None
-        hits.append(ScanHit(q, clause, "", {"q": q, "p": p, "f": f, "clause": clause}))
+        hits.append(ScanHit(q, clause, "", (("q", q), ("p", p), ("f", f), ("clause", clause))))
     return hits
 
 

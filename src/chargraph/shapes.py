@@ -14,7 +14,7 @@ character graphs.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import combinations
 
 from ._value import Value
@@ -26,6 +26,8 @@ class Complete(Value):
     __slots__ = ("n",)
 
     def __init__(self, n: int) -> None:
+        if type(n) is not int:
+            raise ValueError(f"K_n needs an int n, got {n!r}")
         if n < 0:
             raise ValueError("K_n needs n >= 0")
         object.__setattr__(self, "n", n)
@@ -35,6 +37,8 @@ class Cycle(Value):
     __slots__ = ("n",)
 
     def __init__(self, n: int) -> None:
+        if type(n) is not int:
+            raise ValueError(f"C_n needs an int n, got {n!r}")
         if n < 3:
             raise ValueError("C_n needs n >= 3")
         object.__setattr__(self, "n", n)
@@ -47,7 +51,8 @@ class Complement(Value):
 class Union(Value):
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple[GraphExpr, ...]) -> None:
+    def __init__(self, parts: Iterable[GraphExpr]) -> None:
+        parts = tuple(parts)
         if not parts:
             raise ValueError("union of nothing")
         object.__setattr__(self, "parts", parts)
@@ -56,7 +61,8 @@ class Union(Value):
 class Join(Value):
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple[GraphExpr, ...]) -> None:
+    def __init__(self, parts: Iterable[GraphExpr]) -> None:
+        parts = tuple(parts)
         if not parts:
             raise ValueError("join of nothing")
         object.__setattr__(self, "parts", parts)
@@ -129,7 +135,7 @@ class _Parser:
         while self.peek() in symbols:
             self.take()
             parts.append(self.parse_factor() if last else self.parse_expr(level + 1))
-        return parts[0] if len(parts) == 1 else node_type(tuple(parts))
+        return parts[0] if len(parts) == 1 else node_type(parts)
 
     def parse_factor(self) -> GraphExpr:
         node = self.parse_atom()

@@ -15,7 +15,6 @@ from chargraph.arith import (
     TRIAL_BOUND,
     U64_MAX,
     Factorization,
-    _ODD_PRIMES_BELOW_BOUND,
     _cyclotomic_pieces,
     _factor_into,
     factorize,
@@ -247,13 +246,10 @@ class TestResidueRule:
             assert exps[p] == 1
 
 
-class TestGcdScreen:
-    """An odd cofactor >= 2^20 coprime to every odd prime below TRIAL_BOUND
-    skips trial division and is taken as prime below (TRIAL_BOUND + 1)^2."""
-
-    def test_screen_constant(self):
-        assert _ODD_PRIMES_BELOW_BOUND == math.prod(ODD_PRIMES_BELOW_BOUND)
-        assert len(ODD_PRIMES_BELOW_BOUND) == 171
+class TestIndexOneNearTheBound:
+    """Any n >= 2^20 other than 2^k -+ 1 is one piece of index 1.  With no odd
+    prime below TRIAL_BOUND, its first pass ends at c = TRIAL_BOUND + 1, so a
+    cofactor below (TRIAL_BOUND + 1)^2 is prime and one above goes on."""
 
     def test_window_around_the_gate(self):
         for n in range(2**20 - 64, (TRIAL_BOUND + 1) ** 2 + 64):
@@ -264,6 +260,8 @@ class TestGcdScreen:
         3 * 1031 * 1033,
         1021**2 * 1031**2,
         (2**31 - 1) * 1031,
+        1050611,  # the largest prime below 1025^2, taken as prime by the c^2 rule
+        1031 * 1033,  # composite above 1025^2: reaches Pollard rho
     ])
     def test_named_values(self, n):
         fac = factorize(n)

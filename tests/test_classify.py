@@ -136,6 +136,20 @@ def test_scan_hits_carry_their_key(scan, bound, keys):
     assert scan_counterexamples(hits) == []
 
 
+@pytest.mark.parametrize("scan,bound", [(scan_lemma_interest, 10), (scan_lemma_evenfive, 12), (scan_lemma_oddfour, 30)])
+def test_a_scan_hit_is_immutable(scan, bound):
+    hit = scan(bound)[0]
+    text, data = repr(hit), hit.to_json()
+    out = hit.to_json()
+    for value in out.values():
+        if isinstance(value, list):
+            value.append(9)
+    out["f"] = 99
+    assert (repr(hit), hit.to_json()) == (text, data)
+    with pytest.raises(TypeError):
+        hit.fields["f"] = 99
+
+
 # Rows [f, factors of 2^f - 1, factors of 2^f + 1] for f = 2..63, each a
 # list of [prime, exponent]; frozen from sympy.factorint.
 FACTOR_TABLE = json.loads((Path(__file__).parent / "golden" / "mersenne_factors.json").read_text())
@@ -172,7 +186,7 @@ def test_classify_f_socle_graph_matches_the_factor_table():
 def test_f_scanners_match_the_factor_table():
     interest = scan_lemma_interest(F_MAX)
     assert [h.key for h in interest] == [f for f, (a, b) in COUNT_PAIRS.items() if a + b == 3]
-    assert all(h.fields["sizes"] == list(COUNT_PAIRS[h.key]) for h in interest)
+    assert all(h.to_json()["sizes"] == list(COUNT_PAIRS[h.key]) for h in interest)
     evenfive = scan_lemma_evenfive(F_MAX)
     assert [h.key for h in evenfive] == [f for f, pair in COUNT_PAIRS.items() if pair == (2, 2)]
 

@@ -28,8 +28,8 @@ shape_asts = st.recursive(
     ),
     lambda inner: st.one_of(
         inner.map(Complement),
-        st.lists(inner, min_size=2, max_size=3).map(lambda ps: Union(tuple(ps))),
-        st.lists(inner, min_size=2, max_size=3).map(lambda ps: Join(tuple(ps))),
+        st.lists(inner, min_size=2, max_size=3).map(Union),
+        st.lists(inner, min_size=2, max_size=3).map(Join),
     ),
     max_leaves=6,
 )
@@ -102,15 +102,27 @@ class TestParse:
 class TestNodes:
     """The parser never builds these nodes; a library caller can."""
 
+    # Complete(True) would render as "KTrue", which does not parse back.
     @pytest.mark.parametrize("node,arg,message", [
         (Complete, -1, "K_n needs n >= 0"),
         (Cycle, 2, "C_n needs n >= 3"),
         (Union, (), "union of nothing"),
         (Join, (), "join of nothing"),
-    ], ids=["complete", "cycle", "union", "join"])
+        (Complete, True, "K_n needs an int n, got True"),
+        (Complete, 2.5, r"K_n needs an int n, got 2\.5"),
+        (Cycle, 4.0, r"C_n needs an int n, got 4\.0"),
+        (Cycle, "5", "C_n needs an int n, got '5'"),
+    ], ids=["complete", "cycle", "union", "join", "complete-bool", "complete-float", "cycle-float", "cycle-str"])
     def test_invalid_nodes_rejected(self, node, arg, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             node(arg)
+
+    @pytest.mark.parametrize("node", [Union, Join])
+    def test_parts_are_stored_as_a_tuple(self, node):
+        expr = node([Complete(1), Complete(2)])
+        assert expr.parts == (Complete(1), Complete(2))
+        assert expr == node((Complete(1), Complete(2))) == node(iter([Complete(1), Complete(2)]))
+        assert hash(expr) == hash(node((Complete(1), Complete(2))))
 
 
 class TestEval:

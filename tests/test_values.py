@@ -34,8 +34,8 @@ VALUES = {
         "edges=[]), required_radical='note', expected_shape=Complete(n=1), verified=None, "
         "product_graph=None)",
     ),
-    "ScanHit": (lambda: ScanHit(6, "ok", "f = 6", {"f": 6}),
-                "ScanHit(key=6, clause='ok', detail='f = 6', fields={'f': 6})"),
+    "ScanHit": (lambda: ScanHit(6, "ok", "f = 6", (("f", 6), ("sizes", (2, 2)))),
+                "ScanHit(key=6, clause='ok', detail='f = 6', fields=(('f', 6), ('sizes', (2, 2))))"),
     "CharGraph": (lambda: CharGraph([7, 2, 3], [(3, 2)]),
                   "CharGraph(vertices=[2, 3, 7], edges=[[2, 3]])"),
 }
@@ -79,16 +79,11 @@ def test_copies_are_equal(name, clone):
     assert repr(twin) == repr(value)
 
 
-@pytest.mark.parametrize("name", [n for n in NAMES if n != "ScanHit"])
+@pytest.mark.parametrize("name", NAMES)
 def test_equal_values_hash_equal(name):
     make = VALUES[name][0]
     assert hash(make()) == hash(make())
     assert len({make(), make()}) == 1
-
-
-def test_scan_hit_is_unhashable_through_its_dict():
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(VALUES["ScanHit"][0]())
 
 
 @pytest.mark.parametrize("a,b", [
@@ -100,7 +95,7 @@ def test_scan_hit_is_unhashable_through_its_dict():
     (Factorization(12, ((2, 2), (3, 1))), Factorization(18, ((2, 1), (3, 2)))),
     (DegreeSet([1, 2]), DegreeSet([1, 3])),
     (CharGraph([2, 3, 7], [(2, 3)]), CharGraph([2, 3, 7], [(2, 7)])),
-    (ScanHit(6, "ok", "f = 6", {"f": 6}), ScanHit(6, None, "f = 6", {"f": 6})),
+    (ScanHit(6, "ok", "f = 6", (("f", 6),)), ScanHit(6, None, "f = 6", (("f", 6),))),
     (VALUES["CaseReport"][0](), CaseReport(3, (1, 1), "I", CharGraph([2, 3, 7]), "note", Complete(1), True, None)),
 ])
 def test_unequal_across_types_and_fields(a, b):
