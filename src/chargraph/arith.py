@@ -2,8 +2,8 @@
 
 Factorization, prime-divisor sets, deterministic primality, and primitive
 prime divisors of base^n - 1.  Everything here is a pure function of its
-arguments, with no table, no cache and no setting: Pollard rho is seeded
-from the number it splits, so repeated calls give identical results.
+arguments, with no table, no cache and no setting: Pollard rho tries its
+parameters in a fixed order, so repeated calls give identical results.
 
 Each rule is stated once, where it runs: _cyclotomic_pieces splits 2^k -+ 1
 as the Cunningham tables do (Brillhart et al., "Factorizations of
@@ -13,7 +13,6 @@ is_prime tests Sinclair's witness set.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterable, Iterator
 from itertools import count
 from math import gcd
@@ -33,7 +32,14 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
+def _check_int(n: int) -> None:
+    """Every integer argument is an int: a bool or a float is a ValueError."""
+    if type(n) is not int:
+        raise ValueError(f"expected an int, got {n!r}")
+
+
 def _check_width(n: int) -> None:
+    _check_int(n)
     if n > U64_MAX:
         raise OverflowError(f"{n} exceeds the supported 64-bit range")
 
@@ -81,14 +87,12 @@ def primes() -> Iterator[int]:
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n.
 
-    Brent's cycle variant.  The (y, c) parameter sequence comes from a PRNG
-    seeded by n, so the factor found is the same in every run.
+    Brent's cycle variant on y -> y^2 + c, started from y = 2 with
+    c = 1, 2, ... in turn until one splits n, so the factor found is the
+    same in every run.
     """
-    rng = random.Random(n)
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
+    for c in count(1):
+        y, m = 2, 128
         g = r = q = 1
         x = ys = y
         while g == 1:
@@ -125,6 +129,7 @@ class Factorization(Value):
     __slots__ = ("n", "factors")
 
     def __init__(self, n: int, factors: Iterable[tuple[int, int]]) -> None:
+        _check_int(n)
         if n < 1:
             raise ValueError("factored value must be positive")
         prod, last = 1, 1
@@ -132,6 +137,7 @@ class Factorization(Value):
         for p, e in factors:
             if p <= last:
                 raise ValueError("factor primes must be strictly increasing")
+            _check_int(e)
             if e < 1:
                 raise ValueError("exponents must be positive")
             if not is_prime(p):
@@ -245,14 +251,15 @@ def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
 def factorize(n: int) -> Factorization:
     """Factor 1 <= n <= U64_MAX into primes.
 
-    Raises ValueError for n < 1 and OverflowError above U64_MAX.  From
-    2^20 = TRIAL_BOUND^2 up, n = 2^k -+ 1 is split into its pieces
-    (_cyclotomic_pieces); any other n is one piece of index 1.  Each piece
-    goes to _factor_into, with exponents added across pieces.
+    Raises ValueError for an n that is not an int or is < 1, and
+    OverflowError above U64_MAX.  From 2^20 = TRIAL_BOUND^2 up,
+    n = 2^k -+ 1 is split into its pieces (_cyclotomic_pieces); any other n
+    is one piece of index 1.  Each piece goes to _factor_into, with
+    exponents added across pieces.
     """
+    _check_width(n)
     if n < 1:
         raise ValueError("cannot factor n < 1")
-    _check_width(n)
     exps: dict[int, int] = {}
     for index, piece in _cyclotomic_pieces(n) if n >= TRIAL_BOUND * TRIAL_BOUND else ((1, n),):
         _factor_into(piece, exps, index)
@@ -271,6 +278,8 @@ def zsigmondy(base: int, n: int) -> int | None:
     n = 1 with base = 2, n = 2 with base + 1 a power of two, and
     base = 2, n = 6).
     """
+    _check_int(base)
+    _check_int(n)
     if base < 2:
         raise ValueError("base must be >= 2")
     if n < 1:

@@ -53,8 +53,8 @@ class Union(Value):
 
     def __init__(self, parts: Iterable[GraphExpr]) -> None:
         parts = tuple(parts)
-        if not parts:
-            raise ValueError("union of nothing")
+        if len(parts) < 2:
+            raise ValueError(f"a union needs two or more parts, got {len(parts)}")
         object.__setattr__(self, "parts", parts)
 
 
@@ -63,8 +63,8 @@ class Join(Value):
 
     def __init__(self, parts: Iterable[GraphExpr]) -> None:
         parts = tuple(parts)
-        if not parts:
-            raise ValueError("join of nothing")
+        if len(parts) < 2:
+            raise ValueError(f"a join needs two or more parts, got {len(parts)}")
         object.__setattr__(self, "parts", parts)
 
 

@@ -358,6 +358,29 @@ class TestFactorizationType:
             Factorization(3, ((3, 0),))
 
 
+class TestIntArguments:
+    """Every public entry of arith takes ints only: a bool or a float is a
+    ValueError, not an answer or a TypeError from deep inside."""
+
+    @pytest.mark.parametrize("call,args,bad", [
+        (is_prime, (2.0,), 2.0),
+        (is_prime, (True,), True),
+        (factorize, (True,), True),
+        (factorize, (12.0,), 12.0),
+        (prime_divisors, (12.0,), 12.0),
+        (zsigmondy, (2.0, 3), 2.0),
+        (zsigmondy, (2, 3.0), 3.0),
+        (Factorization, (12.0, ((2, 2), (3, 1))), 12.0),
+        (Factorization, (12, ((2, 2.0), (3, 1))), 2.0),
+        (Factorization, (2, ((2.0, 1),)), 2.0),
+    ], ids=["is_prime-float", "is_prime-bool", "factorize-bool", "factorize-float",
+            "prime_divisors-float", "zsigmondy-base", "zsigmondy-n", "factorization-n",
+            "factorization-exponent", "factorization-prime"])
+    def test_non_int_is_a_value_error(self, call, args, bad):
+        with pytest.raises(ValueError, match=f"^expected an int, got {bad!r}$"):
+            call(*args)
+
+
 class TestPrimeDivisors:
     def test_examples(self):
         assert prime_divisors(2**4 - 1) == {3, 5}

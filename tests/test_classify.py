@@ -203,6 +203,9 @@ def test_zsigmondy_settles_the_composite_branch_of_both_lemmas():
     the range below holds them all.  Those the bounds leave open are each
     scanned, so the composite branch holds for every f.
 
+    That proves evenfive for every f: a composite f with both counts 2 is 6
+    or 9, and a prime f conforms by the lemma's wording.
+
     The prime-f branch of interest (2^f - 1 prime and 2^f + 1 = 3 t^beta,
     beta odd) is not settled by Zsigmondy: it stays a scan to F_MAX = 63.
     """

@@ -44,6 +44,11 @@ class TestCharGraphType:
         with pytest.raises(ValueError):
             CharGraph([4])
 
+    @pytest.mark.parametrize("vertex", [2.0, 41.0, True])
+    def test_rejects_non_int_vertex(self, vertex):
+        with pytest.raises(ValueError, match=f"^expected an int, got {vertex!r}$"):
+            CharGraph([vertex])
+
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(ValueError):
             CharGraph([2, 3], [(2, 5)])

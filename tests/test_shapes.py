@@ -106,13 +106,16 @@ class TestNodes:
     @pytest.mark.parametrize("node,arg,message", [
         (Complete, -1, "K_n needs n >= 0"),
         (Cycle, 2, "C_n needs n >= 3"),
-        (Union, (), "union of nothing"),
-        (Join, (), "join of nothing"),
+        (Union, (), "a union needs two or more parts, got 0"),
+        (Join, (), "a join needs two or more parts, got 0"),
+        (Union, (Complete(1),), "a union needs two or more parts, got 1"),
+        (Join, (Complete(1),), "a join needs two or more parts, got 1"),
         (Complete, True, "K_n needs an int n, got True"),
         (Complete, 2.5, r"K_n needs an int n, got 2\.5"),
         (Cycle, 4.0, r"C_n needs an int n, got 4\.0"),
         (Cycle, "5", "C_n needs an int n, got '5'"),
-    ], ids=["complete", "cycle", "union", "join", "complete-bool", "complete-float", "cycle-float", "cycle-str"])
+    ], ids=["complete", "cycle", "union", "join", "union-one", "join-one", "complete-bool", "complete-float",
+            "cycle-float", "cycle-str"])
     def test_invalid_nodes_rejected(self, node, arg, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             node(arg)
@@ -219,9 +222,6 @@ class TestEval:
 class TestRender:
     def test_canonical_form(self):
         assert render_shape(Join((Complement(Complete(3)), Cycle(4)))) == "K3^c * C4"
-
-    def test_singleton_union_renders_bare(self):
-        assert render_shape(Union((Complete(1),))) == "K1"
 
     def test_nested_complement_needs_parens(self):
         expr = Complement(Complement(Complete(3)))

@@ -1,6 +1,6 @@
 """Value semantics of the ten immutable records (equality by type and
 fields, hashing, read-only fields, the repr, copy and pickle), and the
-modules that importing the CLI loads.
+modules that importing the CLI and each layer loads.
 """
 
 import copy
@@ -149,3 +149,27 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Each layer loads only itself and the layers below it.
+LAYERS = {
+    "chargraph": [],
+    "chargraph.arith": ["_value", "arith"],
+    "chargraph.graphs": ["_value", "arith", "graphs"],
+    "chargraph.degrees": ["_value", "arith", "degrees", "graphs"],
+    "chargraph.shapes": ["_value", "arith", "graphs", "shapes"],
+    "chargraph.classify": ["_value", "arith", "classify", "degrees", "graphs", "shapes"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_importing_a_layer_loads_only_the_layers_below_it(module):
+    # random counts too: arith's Pollard rho needs no PRNG.
+    code = (
+        f"import sys; import {module}; "
+        "print(sorted(m for m in sys.modules if m.startswith('chargraph.') or m == 'random'))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == repr([f"chargraph.{name}" for name in LAYERS[module]])
