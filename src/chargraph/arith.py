@@ -252,16 +252,15 @@ def factorize(n: int) -> Factorization:
     """Factor 1 <= n <= U64_MAX into primes.
 
     Raises ValueError for an n that is not an int or is < 1, and
-    OverflowError above U64_MAX.  From 2^20 = TRIAL_BOUND^2 up,
-    n = 2^k -+ 1 is split into its pieces (_cyclotomic_pieces); any other n
-    is one piece of index 1.  Each piece goes to _factor_into, with
-    exponents added across pieces.
+    OverflowError above U64_MAX.  n = 2^k -+ 1 is split into its pieces
+    (_cyclotomic_pieces); any other n is one piece of index 1.  Each piece
+    goes to _factor_into, with exponents added across pieces.
     """
     _check_width(n)
     if n < 1:
         raise ValueError("cannot factor n < 1")
     exps: dict[int, int] = {}
-    for index, piece in _cyclotomic_pieces(n) if n >= TRIAL_BOUND * TRIAL_BOUND else ((1, n),):
+    for index, piece in _cyclotomic_pieces(n):
         _factor_into(piece, exps, index)
     return Factorization(n, tuple(sorted(exps.items())))
 

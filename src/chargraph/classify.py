@@ -86,6 +86,8 @@ class CaseReport(Value):
 
 
 def _check_range(value: int, name: str, low: int = 2, high: int = F_MAX) -> None:
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
     if not low <= value <= high:
         raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
 
@@ -152,7 +154,9 @@ def verify_main(f: int, radical: list[DegreeSet]) -> CaseReport:
     vertices, K4-free, and isomorphic to the case's expected shape.
 
     The graph is the join of the socle graph and each factor's graph, which
-    needs pairwise disjoint prime sets, so the radical is validated first.
+    is the graph of the direct product for any prime sets.  The radical is
+    validated first against the case's model, whose factors each bring two
+    fresh primes; that is the model's rule, not a precondition of join.
 
     The theorem's third clause, a non-bipartite complement, is implied and
     not computed: a bipartite complement on seven vertices has a side of at

@@ -149,33 +149,28 @@ def graph_from_cd(cd: DegreeSet) -> CharGraph:
     return CharGraph._trusted(verts, edges)
 
 
-def _disjoint_vertices(gs: tuple[CharGraph, ...]) -> list[int]:
-    verts = [v for g in gs for v in g.vertices]
-    overlap = sorted(v for v, k in Counter(verts).items() if k > 1)
-    if overlap:
-        raise ValueError(f"vertex sets overlap: {overlap}")
-    return verts
-
-
 def join(*gs: CharGraph) -> CharGraph:
-    """The disjoint union of the graphs plus every edge between two of them.
-
-    Delta(A x B) = Delta(A) * Delta(B) when the degrees of A and B have
-    disjoint prime sets.  Each part is paired with the parts before it, so
-    the cost is linear in the number of parts plus the edges made.
+    """Delta(A x B) = join(Delta(A), Delta(B)) for any groups A and B: the
+    union of the graphs plus an edge from each vertex of a part to every
+    other vertex of the parts before it, so a prime of both A and B is
+    adjacent to every other vertex.  The cost is linear in the number of
+    parts plus the edges made.
     """
-    verts = _disjoint_vertices(gs)
     edges = [e for g in gs for e in g.edges]
     before: list[int] = []
     for g in gs:
-        edges += [(x, y) for x in before for y in g.vertices]
+        edges += [(x, y) for x in before for y in g.vertices if x != y]
         before += g.vertices
-    return CharGraph._trusted(verts, edges)
+    return CharGraph._trusted(before, edges)
 
 
 def disjoint_union(*gs: CharGraph) -> CharGraph:
     """The union of graphs on pairwise disjoint vertex sets."""
-    return CharGraph._trusted(_disjoint_vertices(gs), [e for g in gs for e in g.edges])
+    verts = [v for g in gs for v in g.vertices]
+    overlap = sorted(v for v, k in Counter(verts).items() if k > 1)
+    if overlap:
+        raise ValueError(f"vertex sets overlap: {overlap}")
+    return CharGraph._trusted(verts, [e for g in gs for e in g.edges])
 
 
 def complement(g: CharGraph) -> CharGraph:
@@ -209,6 +204,8 @@ def is_kn_free(g: CharGraph, n: int) -> bool:
     once, in sorted vertex order, and the answer is that of the exhaustive
     search over all n-subsets.
     """
+    if type(n) is not int:
+        raise ValueError(f"clique size must be an int, got {n!r}")
     if n < 2:
         raise ValueError("clique size must be >= 2")
     _check_search_bound(g)

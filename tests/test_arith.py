@@ -118,7 +118,7 @@ def oracle_steps(factors) -> int:
 
 
 class TestTwoPowerPlusMinusOne:
-    """factorize on 2^k -+ 1, which from 2^20 up it splits into cyclotomic pieces."""
+    """factorize on 2^k -+ 1, which it splits into cyclotomic pieces."""
 
     def test_every_value_that_fits_in_u64(self):
         assert len(KNOWN_2K) == 2 * 64 - 1  # 3 = 2^1 + 1 = 2^2 - 1
@@ -183,7 +183,7 @@ class TestTwoPowerPlusMinusOne:
         assert factorize(2**64 - 1).factors == KNOWN_2K[2**64 - 1]
 
     def test_at_the_gate(self):
-        # 2^20 - 1 is below TRIAL_BOUND^2 and is trial-divided whole.
+        # 2^20 -+ 1 are split like every other 2^k -+ 1.
         assert factorize(2**20 - 1).factors == ((3, 1), (5, 2), (11, 1), (31, 1), (41, 1))
         assert sorted(_cyclotomic_pieces(2**20 + 1)) == [(8, 17), (40, 61681)]
         assert factorize(2**20 + 1).factors == ((17, 1), (61681, 1))

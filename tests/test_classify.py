@@ -114,6 +114,18 @@ def test_expected_graph_reads_eval_shape_at_call_time(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("call,value,name", [
+    (classify_f, 6.0, "f"),
+    (classify_f, True, "f"),
+    (scan_lemma_interest, 10.5, "f_max"),
+    (scan_lemma_evenfive, 12.0, "f_max"),
+    (scan_lemma_oddfour, 1000.5, "q_max"),
+])
+def test_non_int_bounds_are_a_value_error(call, value, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be an int, got {value!r}$"):
+        call(value)
+
+
 def test_verify_main_rejects_f_without_a_case():
     with pytest.raises(ValueError, match="no case applies"):
         verify_main(4, [])
@@ -207,7 +219,8 @@ def test_zsigmondy_settles_the_composite_branch_of_both_lemmas():
     or 9, and a prime f conforms by the lemma's wording.
 
     The prime-f branch of interest (2^f - 1 prime and 2^f + 1 = 3 t^beta,
-    beta odd) is not settled by Zsigmondy: it stays a scan to F_MAX = 63.
+    beta odd) needs residues as well as Zsigmondy; it holds for every prime
+    f by test_interest_holds_for_every_prime_f.
     """
     capped = []
     for f in range(2, 3000):
@@ -220,6 +233,61 @@ def test_zsigmondy_settles_the_composite_branch_of_both_lemmas():
     evenfive = [f for f in capped if max(zsigmondy_bounds(f)) <= 2]
     assert (interest, evenfive) == ([4], [4, 6, 9])
     assert max(capped) <= F_MAX
+
+
+def test_interest_holds_for_every_prime_f():
+    """Every prime f >= 5 whose counts sum to 3 fits clause (b).
+
+    2^f - 1 has a prime of order f, and 2^f + 1 one of order 2 (which is 3)
+    and one of order 2f, so the counts are at least (1, 2), and a sum of 3
+    makes them exactly (1, 2).  Then:
+    - 2^f - 1 = p^a has a = 1.  An even a makes p^a an odd square, 1 mod 4,
+      but 2^f - 1 is 3 mod 4.  An odd a >= 3 would make 2^f = p^a + 1 the
+      product of p + 1 and the odd number p^(a-1) - p^(a-2) + ... + 1 > 1.
+    - 3 divides 2^f + 1 once: 9 | 2^f + 1 iff f = 3 (mod 6), and a prime
+      f >= 5 is 1 or 5 mod 6.
+    - (2^f + 1)/3 = t^beta has beta odd.  An even beta makes t^beta an odd
+      square, 1 mod 8, so 2^f + 1 would be 3 mod 8, but it is 1 mod 8.
+    The residue facts are checked over a full period by the tests below.  So
+    the scan's clause-(b) hits are exactly the prime f >= 5 with 2^f - 1
+    prime and (2^f + 1)/3 a prime power, here read from the factor table.
+    """
+    assert all(zsigmondy_bounds(f) == (1, 2) for f in range(5, 3000) if trial_is_prime(f))
+    expected = []
+    for f, minus, plus in FACTOR_TABLE:
+        rest = {p: e - (p == 3) for p, e in plus}  # the primes of (2^f + 1)/3
+        if f >= 5 and trial_is_prime(f) and minus == [[2**f - 1, 1]] and rest.get(3) == 0 \
+                and sum(e > 0 for e in rest.values()) == 1:
+            expected.append(f)
+    assert expected == [5, 7, 13, 17, 19, 31, 61]
+    hits = scan_lemma_interest(F_MAX)
+    assert [h.key for h in hits if h.clause == "b"] == expected
+    assert [h.key for h in hits if h.clause != "b"] == [4]
+
+
+def test_two_to_the_f_mod_9_has_period_6():
+    # 2^6 = 1 (mod 9), so 2^f mod 9 is 2^(f mod 6) mod 9.
+    assert pow(2, 6, 9) == 1
+    assert [r for r in range(6) if (pow(2, r, 9) + 1) % 9 == 0] == [3]
+    # f mod 6 is 1 or 5 unless 2 or 3 divides f.
+    assert [r for r in range(6) if math.gcd(r, 6) == 1] == [1, 5]
+
+
+def test_two_to_the_f_plus_one_is_1_mod_8_from_f_3():
+    # 8 divides 2^3 and so every 2^f with f >= 3; 4 divides 2^f from f = 2.
+    assert pow(2, 3, 8) == 0 and pow(2, 2, 4) == 0
+    assert all((2**f + 1) % 8 == 1 and (2**f - 1) % 4 == 3 for f in range(3, F_MAX + 1))
+
+
+def test_odd_squares_are_1_mod_8():
+    # (x + 8k)^2 = x^2 (mod 8), so the odd residues mod 8 are a full period.
+    assert {x * x % 8 for x in (1, 3, 5, 7)} == {1}
+
+
+def test_even_powers_of_odd_primes_are_1_mod_4():
+    # p^(2b) = (p^b)^2 and an odd p is 1 or 3 mod 4, so it is 1 mod 4.
+    assert {x * x % 4 for x in (1, 3)} == {1}
+    assert all(pow(p, a, 4) == 1 for p in PRIMES[1:] for a in range(0, 20, 2))
 
 
 def test_zsigmondy_bounds_never_exceed_the_counts():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from itertools import combinations
 
@@ -29,6 +31,12 @@ def char_graphs(draw, max_vertices=7):
     pairs = list(combinations(verts, 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return CharGraph(verts, [p for p, k in zip(pairs, keep) if k])
+
+
+def small_degree_sets():
+    """Degree sets whose degrees are products of up to three primes <= 13."""
+    degree = st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=3).map(math.prod)
+    return st.lists(degree, max_size=4).map(lambda ds: DegreeSet([1] + ds))
 
 
 def complete_graph(labels):
@@ -131,19 +139,21 @@ class TestJoin:
         assert g.vertex_count == 7
         assert g.edge_count == 16
 
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            join(edgeless([2, 3]), edgeless([3, 5]))
+    def test_a_shared_prime_is_adjacent_to_every_other_vertex(self):
+        assert join(edgeless([2, 3]), edgeless([3, 5])) == complete_graph([2, 3, 5])
+        # Delta({1, 2, 3, 7} x {1, 3, 5}): 3 divides a degree of each factor,
+        # so 3 * v divides a product for every other v; 2 * 7 divides none.
+        g = join(edgeless([2, 3, 7]), edgeless([3, 5]))
+        assert g.edges == ((2, 3), (2, 5), (3, 5), (3, 7), (5, 7))
+        assert g == graph_from_cd(DegreeSet([x * y for x in (1, 2, 3, 7) for y in (1, 3, 5)]))
 
     def test_n_ary_equals_nested_binary(self):
-        a, b, c = complete_graph([2, 3]), edgeless([5, 7]), complete_graph([11, 13, 17])
-        assert join(a, b, c) == join(join(a, b), c) == join(a, join(b, c))
-        assert join(a) == a
+        disjoint = complete_graph([2, 3]), edgeless([5, 7]), complete_graph([11, 13, 17])
+        overlapping = complete_graph([2, 3]), edgeless([3, 5, 7]), CharGraph([2, 7, 11], [(2, 11)])
+        for a, b, c in (disjoint, overlapping):
+            assert join(a, b, c) == join(join(a, b), c) == join(a, join(b, c))
+            assert join(a) == a
         assert join() == CharGraph(())
-
-    def test_rejects_overlap_between_any_two_parts(self):
-        with pytest.raises(ValueError, match=r"vertex sets overlap: \[2, 5\]"):
-            join(edgeless([2, 5]), edgeless([3]), edgeless([2, 5, 7]))
 
 
 class TestDisjointUnion:
@@ -221,6 +231,11 @@ class TestKnFree:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             is_kn_free(CharGraph(()), 1)
+
+    @pytest.mark.parametrize("n", [3.0, True, "3"])
+    def test_rejects_non_int_n(self, n):
+        with pytest.raises(ValueError, match=r"^clique size must be an int, got "):
+            is_kn_free(complete_graph([2, 3, 5]), n)
 
     def test_rejects_oversized_graph(self):
         labels = [p for p in PRIMES] + [41]
@@ -302,6 +317,14 @@ class TestProductJoinDuality:
             factors[rng.randrange(3)] = DegreeSet([1])
             product = DegreeSet([x * y * z for x in factors[0] for y in factors[1] for z in factors[2]])
             assert graph_from_cd(product) == join(*(graph_from_cd(f) for f in factors))
+
+    @settings(max_examples=200)
+    @given(st.lists(small_degree_sets(), min_size=2, max_size=3))
+    def test_two_or_three_factors_sharing_primes(self, factors):
+        # Degrees over the primes 2..13 share primes often; each product of
+        # up to three degrees of at most 13^3 stays far below 2^64.
+        product = DegreeSet([math.prod(ds) for ds in itertools.product(*factors)])
+        assert join(*(graph_from_cd(f) for f in factors)) == graph_from_cd(product)
 
 
 def degree_sets():
