@@ -9,7 +9,21 @@ they have the same type and equal fields; the hash is over the fields;
 assigning or deleting a field raises AttributeError; the repr reads
 ``Name(field=...)``.  Copying and pickling call the class again with the
 fields, positionally.
+
+check_int is the one rule for the library's integer arguments.
 """
+
+
+def check_int(value: int, name: str, low: int | None = None, high: int | None = None) -> int:
+    """value, if it is an int (a bool or a float is not) that is >= low, or in
+    [low, high] when high is given; otherwise a ValueError naming the argument."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 class Value:

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator
 from itertools import count
 from math import gcd
 
-from ._value import Value
+from ._value import Value, check_int
 
 U64_MAX = 2**64 - 1
 
@@ -32,14 +32,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
-def _check_int(n: int) -> None:
-    """Every integer argument is an int: a bool or a float is a ValueError."""
-    if type(n) is not int:
-        raise ValueError(f"expected an int, got {n!r}")
-
-
-def _check_width(n: int) -> None:
-    _check_int(n)
+def _check_width(n: int, low: int | None = None) -> None:
+    check_int(n, "n", low)
     if n > U64_MAX:
         raise OverflowError(f"{n} exceeds the supported 64-bit range")
 
@@ -129,17 +123,14 @@ class Factorization(Value):
     __slots__ = ("n", "factors")
 
     def __init__(self, n: int, factors: Iterable[tuple[int, int]]) -> None:
-        _check_int(n)
-        if n < 1:
-            raise ValueError("factored value must be positive")
+        check_int(n, "n", 1)
         prod, last = 1, 1
         pairs = []
         for p, e in factors:
+            check_int(p, "prime")
+            check_int(e, "exponent", 1)
             if p <= last:
                 raise ValueError("factor primes must be strictly increasing")
-            _check_int(e)
-            if e < 1:
-                raise ValueError("exponents must be positive")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             prod *= p**e
@@ -256,9 +247,7 @@ def factorize(n: int) -> Factorization:
     (_cyclotomic_pieces); any other n is one piece of index 1.  Each piece
     goes to _factor_into, with exponents added across pieces.
     """
-    _check_width(n)
-    if n < 1:
-        raise ValueError("cannot factor n < 1")
+    _check_width(n, 1)
     exps: dict[int, int] = {}
     for index, piece in _cyclotomic_pieces(n):
         _factor_into(piece, exps, index)
@@ -277,12 +266,8 @@ def zsigmondy(base: int, n: int) -> int | None:
     n = 1 with base = 2, n = 2 with base + 1 a power of two, and
     base = 2, n = 6).
     """
-    _check_int(base)
-    _check_int(n)
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_int(base, "base", 2)
+    check_int(n, "n", 1)
     # base^n >= 2^((bits - 1) n), so a power far past 2^64 is never built.
     if (base.bit_length() - 1) * n > 64 or (value := base**n - 1) > U64_MAX:
         raise OverflowError(f"{base}^{n} - 1 exceeds the supported 64-bit range")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import islice
 
-from ._value import Value
+from ._value import Value, check_int
 from .arith import factorize, is_prime, prime_divisors, primes
 from .degrees import graph_psl2, prime_power
 from .graphs import (
@@ -85,13 +85,6 @@ class CaseReport(Value):
         }
 
 
-def _check_range(value: int, name: str, low: int = 2, high: int = F_MAX) -> None:
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if not low <= value <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
-
-
 def classify_f(f: int) -> CaseReport:
     """Assign f to case I/II/III by the prime-divisor counts of 2^f -+ 1.
 
@@ -101,8 +94,7 @@ def classify_f(f: int) -> CaseReport:
     again.  The cache is on _classify, as bench/tracing.py spans only plain
     functions and a cache wrapper is not one.
     """
-    _check_range(f, "f")
-    return _classify(f)
+    return _classify(check_int(f, "f", 2, F_MAX))
 
 
 @cache
@@ -214,7 +206,7 @@ def scan_lemma_interest(f_max: int) -> list[ScanHit]:
     (f prime >= 5, 2^f - 1 prime, 2^f + 1 = 3 t^beta with beta odd).
     Anything else is flagged as a counterexample.
     """
-    _check_range(f_max, "f_max")
+    check_int(f_max, "f_max", 2, F_MAX)
     hits: list[ScanHit] = []
     for f in range(2, f_max + 1):
         q = 2**f
@@ -239,7 +231,7 @@ def scan_lemma_interest(f_max: int) -> list[ScanHit]:
 def scan_lemma_evenfive(f_max: int) -> list[ScanHit]:
     """All f in [2, f_max] with both counts 2; conforming iff f is prime or
     f is 6 or 9."""
-    _check_range(f_max, "f_max")
+    check_int(f_max, "f_max", 2, F_MAX)
     hits: list[ScanHit] = []
     for f in range(2, f_max + 1):
         if classify_f(f).sizes != (2, 2):
@@ -259,7 +251,7 @@ def scan_lemma_oddfour(q_max: int) -> list[ScanHit]:
     """All odd prime powers q <= q_max with exactly 3 primes dividing
     q^2 - 1, assigned to q in {25, 49, 81}, (p = 3, f an odd prime), or
     (p >= 11, f = 1)."""
-    _check_range(q_max, "q_max", 3, Q_ODD_MAX)
+    check_int(q_max, "q_max", 3, Q_ODD_MAX)
     hits: list[ScanHit] = []
     for q in range(3, q_max + 1, 2):
         pf = prime_power(q)

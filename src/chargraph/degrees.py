@@ -6,13 +6,14 @@ power 4 <= q <= 20,000.
 
 from __future__ import annotations
 
+from ._value import check_int
 from .arith import factorize
 from .graphs import CharGraph, DegreeSet, graph_from_cd
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
     """(p, f) with n = p^f, or None if n is not a prime power."""
-    if n < 2:
+    if check_int(n, "n") < 2:
         return None
     factors = factorize(n).factors
     if len(factors) != 1:
@@ -26,8 +27,8 @@ def cd_psl2(q: int) -> DegreeSet:
     Even q: {1, q-1, q, q+1}.  Odd q > 5 additionally has (q+eps)/2 where
     q = eps (mod 4).  q = 5 is the classical exception {1, 3, 4, 5}.
     """
-    if prime_power(q) is None or q < 4:
-        raise ValueError(f"q = {q} is not a prime power >= 4")
+    if prime_power(check_int(q, "q", 4)) is None:
+        raise ValueError(f"q = {q} is not a prime power")
     if q == 5:
         return DegreeSet([1, 3, 4, 5])
     if q % 2 == 0:

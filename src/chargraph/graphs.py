@@ -7,8 +7,9 @@ edge listings are always sorted so equal graphs print and serialize
 identically.
 
 Vertices are certified prime at the boundary only: the public CharGraph
-constructor and CharGraph.from_json run Miller-Rabin on every vertex and
-reject self-loops and edges leaving the vertex set.  The builders inside
+constructor and CharGraph.from_json check that each vertex and endpoint is
+an int, run Miller-Rabin on every vertex, and reject self-loops and edges
+leaving the vertex set.  The builders inside
 the package (graph_from_cd, join, disjoint_union, complement and the shape
 leaves) take their vertices from factorize, from arith.primes() or from an
 existing CharGraph, so they are proven primes already, and each edge they
@@ -23,7 +24,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import combinations
 
-from ._value import Value
+from ._value import Value, check_int
 from .arith import is_prime, prime_divisors
 
 # Exhaustive clique/isomorphism searches are bounded to this many vertices.
@@ -50,12 +51,14 @@ class CharGraph(Value):
     __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> None:
-        vs = set(vertices)
+        vs = {check_int(v, "vertex") for v in vertices}
         for v in sorted(vs):
             if not is_prime(v):
                 raise ValueError(f"vertex {v} is not prime")
         es = list(edges)
         for a, b in es:
+            check_int(a, "edge endpoint")
+            check_int(b, "edge endpoint")
             if a == b:
                 raise ValueError(f"self-loop at {a}")
             if a not in vs or b not in vs:
@@ -204,10 +207,7 @@ def is_kn_free(g: CharGraph, n: int) -> bool:
     once, in sorted vertex order, and the answer is that of the exhaustive
     search over all n-subsets.
     """
-    if type(n) is not int:
-        raise ValueError(f"clique size must be an int, got {n!r}")
-    if n < 2:
-        raise ValueError("clique size must be >= 2")
+    check_int(n, "clique size", 2)
     _check_search_bound(g)
     return not _has_clique(_adjacency(g), g.vertices, n)
 

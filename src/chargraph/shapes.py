@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import combinations
 
-from ._value import Value
+from ._value import Value, check_int
 from .arith import primes
 from .graphs import CharGraph, complement as graph_complement, disjoint_union, join as graph_join
 
@@ -26,22 +26,14 @@ class Complete(Value):
     __slots__ = ("n",)
 
     def __init__(self, n: int) -> None:
-        if type(n) is not int:
-            raise ValueError(f"K_n needs an int n, got {n!r}")
-        if n < 0:
-            raise ValueError("K_n needs n >= 0")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", check_int(n, "n", 0))
 
 
 class Cycle(Value):
     __slots__ = ("n",)
 
     def __init__(self, n: int) -> None:
-        if type(n) is not int:
-            raise ValueError(f"C_n needs an int n, got {n!r}")
-        if n < 3:
-            raise ValueError("C_n needs n >= 3")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", check_int(n, "n", 3))
 
 
 class Complement(Value):

@@ -5,6 +5,7 @@ permutation search) and shares no code with the package under test.
 """
 
 from itertools import combinations, permutations
+from math import isqrt
 
 
 def trial_factorize(n: int) -> list[tuple[int, int]]:
@@ -77,6 +78,16 @@ def brute_zsigmondy(base: int, n: int) -> int | None:
         if all((base**k - 1) % p != 0 for k in range(1, n)):
             return p
     return None
+
+
+def smallest_prime_factors(n: int) -> list[int]:
+    """spf with spf[k] the least prime factor of k for 2 <= k <= n: every
+    d from isqrt(n) down to 2 marks its multiples from d^2, so the mark
+    left on a composite k is its least divisor d >= 2, a prime."""
+    spf = list(range(n + 1))
+    for d in range(isqrt(n), 1, -1):
+        spf[d * d::d] = [d] * len(range(d * d, n + 1, d))
+    return spf
 
 
 def divisors(n: int) -> list[int]:

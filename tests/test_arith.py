@@ -338,7 +338,7 @@ class TestFactorizationType:
         assert fac == factorize(12)
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError, match="factored value must be positive"):
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
             Factorization(0, ())
 
     def test_rejects_bad_product(self):
@@ -360,24 +360,25 @@ class TestFactorizationType:
 
 class TestIntArguments:
     """Every public entry of arith takes ints only: a bool or a float is a
-    ValueError, not an answer or a TypeError from deep inside."""
+    ValueError naming the argument, not an answer or a TypeError from deep
+    inside.  tests/test_values.py holds the rule's table for every layer."""
 
-    @pytest.mark.parametrize("call,args,bad", [
-        (is_prime, (2.0,), 2.0),
-        (is_prime, (True,), True),
-        (factorize, (True,), True),
-        (factorize, (12.0,), 12.0),
-        (prime_divisors, (12.0,), 12.0),
-        (zsigmondy, (2.0, 3), 2.0),
-        (zsigmondy, (2, 3.0), 3.0),
-        (Factorization, (12.0, ((2, 2), (3, 1))), 12.0),
-        (Factorization, (12, ((2, 2.0), (3, 1))), 2.0),
-        (Factorization, (2, ((2.0, 1),)), 2.0),
+    @pytest.mark.parametrize("call,args,name,bad", [
+        (is_prime, (2.0,), "n", 2.0),
+        (is_prime, (True,), "n", True),
+        (factorize, (True,), "n", True),
+        (factorize, (12.0,), "n", 12.0),
+        (prime_divisors, (12.0,), "n", 12.0),
+        (zsigmondy, (2.0, 3), "base", 2.0),
+        (zsigmondy, (2, 3.0), "n", 3.0),
+        (Factorization, (12.0, ((2, 2), (3, 1))), "n", 12.0),
+        (Factorization, (12, ((2, 2.0), (3, 1))), "exponent", 2.0),
+        (Factorization, (2, ((2.0, 1),)), "prime", 2.0),
     ], ids=["is_prime-float", "is_prime-bool", "factorize-bool", "factorize-float",
             "prime_divisors-float", "zsigmondy-base", "zsigmondy-n", "factorization-n",
             "factorization-exponent", "factorization-prime"])
-    def test_non_int_is_a_value_error(self, call, args, bad):
-        with pytest.raises(ValueError, match=f"^expected an int, got {bad!r}$"):
+    def test_non_int_is_a_value_error(self, call, args, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {bad!r}$"):
             call(*args)
 
 

@@ -26,7 +26,7 @@ from chargraph.degrees import graph_psl2
 from chargraph.graphs import CharGraph, DegreeSet
 from chargraph.shapes import eval_shape
 from conftest import PRIMES, random_chargraph
-from oracles import divisors, trial_is_prime, zsigmondy_bounds
+from oracles import divisors, smallest_prime_factors, trial_is_prime, zsigmondy_bounds
 
 CASE_FS = {"I": (2, 3), "II": (6, 9, 11, 23), "III": (14, 15, 21, 27, 29, 47, 53)}
 
@@ -263,6 +263,61 @@ def test_interest_holds_for_every_prime_f():
     hits = scan_lemma_interest(F_MAX)
     assert [h.key for h in hits if h.clause == "b"] == expected
     assert [h.key for h in hits if h.clause != "b"] == [4]
+
+
+def test_oddfour_holds_for_every_odd_prime_power():
+    """Every odd prime power q = p^f with exactly three primes dividing
+    q^2 - 1 is 25, 49 or 81 (clause a), or has p = 3 with f an odd prime
+    (clause b), or has p >= 11 with f = 1 (clause c).
+
+    2 divides q^2 - 1 = p^(2f) - 1, and by Zsigmondy each d | 2f with
+    d >= 3 adds a primitive prime of p^d - 1, a different one for each d
+    (an odd p has no exception there).  So:
+    - tau(2f) >= 5 gives at least four primes, which leaves f in {1, 2, 4}
+      or f an odd prime.
+    - f an odd prime r: 2 and the primes of orders r and 2r make three.
+      For p >= 5, 3 divides p^2 - 1 as well, a fourth.  So p = 3: clause b.
+    - f = 4: 2 and the primes of orders 4 and 8 make three, and 3 a fourth
+      unless p = 3.  So q = 81: clause a.
+    - f = 2, p >= 5: 2, 3 and a prime of p^2 + 1 already make three.  So
+      p^2 - 1 = 4 * ((p - 1)/2) * ((p + 1)/2) has no other prime: (p - 1)/2
+      and (p + 1)/2 are consecutive {2, 3}-smooth integers, which are (1, 2),
+      (2, 3), (3, 4) and (8, 9) (Levi ben Gershon; Stormer 1897).  That
+      leaves p in {5, 7, 17}, and 17^2 + 1 = 2 * 5 * 29 adds a fourth
+      prime.  So q is 25 or 49: clause a.  q = 9 has two primes, 2 and 5.
+    - f = 1: p >= 11 is clause c, and p = 3, 5, 7 give 1, 2 and 2 primes.
+    The scan to Q_ODD_MAX must agree with an independent sieve on its
+    range; the sieve runs ten times as far, and Zsigmondy and Stormer's
+    list are checked on the cases the argument uses.
+    """
+    bound = 10**6
+    spf = smallest_prime_factors(bound + 1)
+
+    def primes_of(k):
+        ps = set()
+        while k > 1:
+            p = spf[k]
+            ps.add(p)
+            while k % p == 0:
+                k //= p
+        return ps
+
+    prime_powers = []
+    for p in (k for k in range(3, bound + 1, 2) if spf[k] == k):
+        q = p
+        while q <= bound:
+            prime_powers.append(q)
+            q *= p
+    hits = sorted(q for q in prime_powers if len(primes_of(q - 1) | primes_of(q + 1)) == 3)
+    assert len(hits) == 31
+    assert [q for q in hits if spf[q] != q or q < 11] == [25, 27, 49, 81, 243, 2187]
+    scanned = [h.key for h in scan_lemma_oddfour(100_000)]
+    assert scanned == [q for q in hits if q <= 100_000] and len(scanned) == 30
+    assert hits[30:] == [995327]
+    assert all(zsigmondy(p, d) is not None for p in range(3, 40, 2) for d in range(3, 13))
+    smooth = {2**a * 3**b for a in range(20) for b in range(13)}
+    assert [(k, k + 1) for k in sorted(smooth) if k + 1 < bound and k + 1 in smooth] == \
+        [(1, 2), (2, 3), (3, 4), (8, 9)]
 
 
 def test_two_to_the_f_mod_9_has_period_6():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -272,6 +273,18 @@ def test_readme_names_every_verb_and_bound():
         "MAX_DEPTH": shapes.MAX_DEPTH,
     }
     assert [name for name, value in bounds.items() if f"| `{name}` | {value:,} |" not in readme] == []
+
+
+def test_readme_proof_section_names_existing_tests():
+    readme = README.read_text()
+    section = readme.split("## What is proved beyond the scan bounds\n", 1)[1].split("\n## ", 1)[0]
+    lines = section.replace("\n  ", " ").splitlines()
+    for lemma in ("interest", "evenfive", "oddfour"):
+        assert any(line.startswith(f"- `{lemma}`: `tests/") for line in lines), lemma
+    named = re.findall(r"`tests/(\w+\.py)::(\w+)`", section)
+    assert len(named) == 4
+    missing = [name for file, name in named if f"\ndef {name}(" not in (ROOT / "tests" / file).read_text()]
+    assert missing == []
 
 
 # (verb, example, the literal text its Commands-table row shows, and whether

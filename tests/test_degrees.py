@@ -68,3 +68,10 @@ def test_prime_power_matches_trial_division():
     mismatches = [n for n in range(5001) if prime_power(n) != trial_prime_power(n)]
     assert mismatches == []
     assert [prime_power(n) for n in (0, 1, 6, 5000)] == [None] * 4
+
+
+@pytest.mark.parametrize("n", [1.5, True, 0.0, -3.0])
+def test_prime_power_checks_n_before_its_small_n_answer(n):
+    # The answer None is for an int n < 2; a bool or a float is no answer.
+    with pytest.raises(ValueError, match=f"^n must be an int, got {n!r}$"):
+        prime_power(n)

@@ -54,8 +54,15 @@ class TestCharGraphType:
 
     @pytest.mark.parametrize("vertex", [2.0, 41.0, True])
     def test_rejects_non_int_vertex(self, vertex):
-        with pytest.raises(ValueError, match=f"^expected an int, got {vertex!r}$"):
+        with pytest.raises(ValueError, match=f"^vertex must be an int, got {vertex!r}$"):
             CharGraph([vertex])
+
+    @pytest.mark.parametrize("edge", [(2, 3.0), (2.0, 3)])
+    def test_rejects_non_int_edge_endpoint(self, edge):
+        # 3.0 == 3 is in the vertex set, so the membership check alone let
+        # it in, and to_json gave [[2, 3.0]] for a graph equal to one with (2, 3).
+        with pytest.raises(ValueError, match=r"^edge endpoint must be an int, got [23]\.0$"):
+            CharGraph([2, 3], [edge])
 
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 """Value semantics of the ten immutable records (equality by type and
-fields, hashing, read-only fields, the repr, copy and pickle), and the
-modules that importing the CLI and each layer loads.
+fields, hashing, read-only fields, the repr, copy and pickle), the rule for
+integer arguments, and the modules that importing the CLI and each layer
+loads.
 """
 
 import copy
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +15,19 @@ from pathlib import Path
 import pytest
 
 from chargraph import graphs
-from chargraph.arith import Factorization
-from chargraph.classify import CaseReport, ScanHit
-from chargraph.graphs import CharGraph, DegreeSet
+from chargraph.arith import Factorization, factorize, is_prime, prime_divisors, zsigmondy
+from chargraph.classify import (
+    CaseReport,
+    ScanHit,
+    classify_f,
+    scan_lemma_evenfive,
+    scan_lemma_interest,
+    scan_lemma_oddfour,
+    synthetic_radical,
+    verify_main,
+)
+from chargraph.degrees import cd_psl2, graph_psl2, prime_power
+from chargraph.graphs import CharGraph, DegreeSet, is_kn_free
 from chargraph.shapes import Complement, Complete, Cycle, Join, Union
 
 # name -> (builds a fresh value, the repr it must print)
@@ -137,6 +149,57 @@ def test_graph_copies_recertify_every_vertex(monkeypatch, clone):
     monkeypatch.setattr(graphs, "is_prime", lambda n: tested.append(n) or True)
     assert clone(g) == g
     assert tested == list(g.vertices)
+
+
+# One row per public integer argument: the argument's name in its
+# function's signature, a call that passes the value as that argument, and
+# for a bounded argument a value outside the bound with the message it gets.
+INT_ARGUMENTS = {
+    "is_prime": ("n", is_prime, None),
+    "factorize": ("n", factorize, (0, "n must be >= 1, got 0")),
+    "prime_divisors": ("n", prime_divisors, (0, "n must be >= 1, got 0")),
+    "zsigmondy-base": ("base", lambda v: zsigmondy(v, 3), (1, "base must be >= 2, got 1")),
+    "zsigmondy-n": ("n", lambda v: zsigmondy(2, v), (0, "n must be >= 1, got 0")),
+    "Factorization-n": ("n", lambda v: Factorization(v, ()), (0, "n must be >= 1, got 0")),
+    "Factorization-exponent": ("exponent", lambda v: Factorization(4, ((2, v),)),
+                               (0, "exponent must be >= 1, got 0")),
+    "Factorization-prime": ("prime", lambda v: Factorization(2, ((v, 1),)), None),
+    "prime_power": ("n", prime_power, None),
+    "cd_psl2": ("q", cd_psl2, (3, "q must be >= 4, got 3")),
+    "graph_psl2": ("q", graph_psl2, (3, "q must be >= 4, got 3")),
+    "CharGraph-vertex": ("vertex", lambda v: CharGraph([2, v]), None),
+    "CharGraph-edge": ("edge endpoint", lambda v: CharGraph([2, 3], [(2, v)]), None),
+    "is_kn_free": ("clique size", lambda v: is_kn_free(CharGraph([2, 3]), v),
+                   (1, "clique size must be >= 2, got 1")),
+    "Complete": ("n", Complete, (-1, "n must be >= 0, got -1")),
+    "Cycle": ("n", Cycle, (2, "n must be >= 3, got 2")),
+    "classify_f": ("f", classify_f, (64, "f must be in [2, 63], got 64")),
+    "verify_main": ("f", lambda v: verify_main(v, []), (1, "f must be in [2, 63], got 1")),
+    "synthetic_radical": ("f", synthetic_radical, (64, "f must be in [2, 63], got 64")),
+    "scan_lemma_interest": ("f_max", scan_lemma_interest, (1, "f_max must be in [2, 63], got 1")),
+    "scan_lemma_evenfive": ("f_max", scan_lemma_evenfive, (64, "f_max must be in [2, 63], got 64")),
+    "scan_lemma_oddfour": ("q_max", scan_lemma_oddfour, (100_001, "q_max must be in [3, 100000], got 100001")),
+}
+
+
+class TestIntArguments:
+    """_value.check_int is the one rule for the library's integer
+    arguments: an exact int, not a bool or a float, inside its bounds.  A
+    value that breaks it is a ValueError naming the argument, never an
+    answer or a TypeError from deep inside."""
+
+    @pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+    @pytest.mark.parametrize("row", sorted(INT_ARGUMENTS))
+    def test_non_int_is_a_value_error(self, row, bad):
+        name, call, _ = INT_ARGUMENTS[row]
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {bad!r}$"):
+            call(bad)
+
+    @pytest.mark.parametrize("row", sorted(row for row, (_, _, out) in INT_ARGUMENTS.items() if out))
+    def test_out_of_range_is_a_value_error(self, row):
+        _, call, (value, message) = INT_ARGUMENTS[row]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
