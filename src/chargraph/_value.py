@@ -10,7 +10,8 @@ assigning or deleting a field raises AttributeError; the repr reads
 ``Name(field=...)``.  Copying and pickling call the class again with the
 fields, positionally.
 
-check_int is the one rule for the library's integer arguments.
+check_int is the one rule for the library's integer arguments, and so for
+the integers read from JSON, which from_json hands to the constructors.
 """
 
 

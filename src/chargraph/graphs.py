@@ -6,16 +6,17 @@ immutable _value.Value records; operations return new graphs.  Vertex and
 edge listings are always sorted so equal graphs print and serialize
 identically.
 
-Vertices are certified prime at the boundary only: the public CharGraph
-constructor and CharGraph.from_json check that each vertex and endpoint is
-an int, run Miller-Rabin on every vertex, and reject self-loops and edges
-leaving the vertex set.  The builders inside
-the package (graph_from_cd, join, disjoint_union, complement and the shape
-leaves) take their vertices from factorize, from arith.primes() or from an
-existing CharGraph, so they are proven primes already, and each edge they
-add has two distinct such endpoints; those builders go through
-CharGraph._trusted, which checks nothing, and tests/test_graphs.py pays for
-the check instead by re-certifying their output.
+CharGraph.from_json and DegreeSet.from_json check only the JSON's shape;
+the constructors check the values, each with _value.check_int.  Vertices
+are certified prime at the boundary only: the public CharGraph constructor
+also runs Miller-Rabin on every vertex and rejects self-loops and edges
+leaving the vertex set.  The builders inside the package (graph_from_cd,
+join, disjoint_union, complement and the shape leaves) take their vertices
+from factorize, from arith.primes() or from an existing CharGraph, so they
+are proven primes already, and each edge they add has two distinct such
+endpoints; those builders go through CharGraph._trusted, which checks
+nothing, and tests/test_graphs.py pays for the check instead by
+re-certifying their output.
 """
 
 from __future__ import annotations
@@ -29,17 +30,6 @@ from .arith import is_prime, prime_divisors
 
 # Exhaustive clique/isomorphism searches are bounded to this many vertices.
 MAX_SEARCH_VERTICES = 12
-
-
-def _int_list(values, what: str) -> list[int]:
-    """values as a list of ints; anything else, bool and float included, is
-    a ValueError.  Checked before a set() could merge True into 1."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{what} must be a list of integers, got {type(values).__name__}")
-    bad = [v for v in values if type(v) is not int]
-    if bad:
-        raise ValueError(f"{what} must hold integers only, got {bad[0]!r}")
-    return list(values)
 
 
 class CharGraph(Value):
@@ -96,12 +86,13 @@ class CharGraph(Value):
 
     @classmethod
     def from_json(cls, data: dict) -> "CharGraph":
-        if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
+        """A graph as {"vertices": [...], "edges": [[a, b], ...]}; the constructor checks the values."""
+        if not (isinstance(data, dict) and isinstance(data.get("vertices"), list)
+                and isinstance(data.get("edges"), list)):
             raise ValueError('a graph must be a JSON object with "vertices" and "edges" lists')
-        edges = [_int_list(e, "an edge") for e in data["edges"]]
-        if any(len(e) != 2 for e in edges):
+        if not all(isinstance(e, list) and len(e) == 2 for e in data["edges"]):
             raise ValueError("every edge must be a pair of vertices")
-        return cls(_int_list(data.get("vertices"), "vertices"), [tuple(e) for e in edges])
+        return cls(data["vertices"], data["edges"])
 
     def to_dot(self) -> str:
         lines = ["graph delta {"]
@@ -119,9 +110,9 @@ class DegreeSet(Value):
     __slots__ = ("degrees",)
 
     def __init__(self, degrees: list[int] | tuple[int, ...]) -> None:
-        ds = tuple(sorted(set(_int_list(degrees, "degrees"))))
-        if not ds or ds[0] < 1:
-            raise ValueError("degrees must be positive integers")
+        if not isinstance(degrees, (list, tuple)):
+            raise ValueError(f"degrees must be a list of integers, got {type(degrees).__name__}")
+        ds = tuple(sorted({check_int(d, "degree", 1) for d in degrees}))
         if 1 not in ds:
             raise ValueError("a degree set must contain 1")
         object.__setattr__(self, "degrees", ds)

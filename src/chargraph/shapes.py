@@ -141,16 +141,14 @@ class _Parser:
 
     def parse_atom(self) -> GraphExpr:
         ch = self.peek()
-        if ch == "K":
-            self.take()
-            return Complete(self.parse_int())
-        if ch == "C":
+        if ch in ("K", "C"):
             self.take()
             at = self.pos
             n = self.parse_int()
-            if n < 3:
-                raise ShapeSyntaxError(f"C{n} is not a cycle; need n >= 3", at)
-            return Cycle(n)
+            try:
+                return Complete(n) if ch == "K" else Cycle(n)
+            except ValueError as exc:  # the node states its own bound: a cycle needs n >= 3
+                raise ShapeSyntaxError(f"{ch}{n}: {exc}", at) from None
         if ch == "(":
             if self.depth == MAX_DEPTH:
                 raise self.error(f"parentheses nested deeper than {MAX_DEPTH}")

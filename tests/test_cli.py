@@ -208,10 +208,15 @@ JSON_DATA = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["degrees", "vertices", "edges"]), inner, max_size=2),
     max_leaves=8,
 )
-GRAPH_ARG = SHAPE_TEXT | st.fixed_dictionaries({
-    "vertices": st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 11]), max_size=5),
-    "edges": st.lists(st.lists(st.sampled_from([2, 3, 5, 6, 7]), min_size=1, max_size=3), max_size=4),
-}).map(json.dumps)
+# A graph argument: shape text, or inline JSON that is a well-formed graph
+# of small ints or any object at all.
+GRAPH_ARG = SHAPE_TEXT | st.one_of(
+    st.fixed_dictionaries({
+        "vertices": st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 11]), max_size=5),
+        "edges": st.lists(st.lists(st.sampled_from([2, 3, 5, 6, 7]), min_size=1, max_size=3), max_size=4),
+    }),
+    st.dictionaries(st.sampled_from(["vertices", "edges", "degrees"]), JSON_DATA, max_size=3),
+).map(json.dumps)
 
 VERBS = {
     "factor": st.tuples(FORMATS, NUMBERS.map(str)).map(lambda t: (["factor", "--format", t[0], t[1]], None)),

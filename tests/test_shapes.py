@@ -89,6 +89,8 @@ class TestParse:
         with pytest.raises(ShapeSyntaxError) as err:
             parse_shape("K2 + C2")
         assert err.value.position == 6
+        # Cycle states the bound; the parser only places it.
+        assert str(err.value) == "C2: n must be >= 3, got 2 (at position 6)"
 
     def test_nesting_at_the_depth_cap_parses(self):
         assert parse_shape("(" * MAX_DEPTH + "K1" + ")" * MAX_DEPTH) == Complete(1)

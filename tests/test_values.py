@@ -151,9 +151,10 @@ def test_graph_copies_recertify_every_vertex(monkeypatch, clone):
     assert tested == list(g.vertices)
 
 
-# One row per public integer argument: the argument's name in its
-# function's signature, a call that passes the value as that argument, and
-# for a bounded argument a value outside the bound with the message it gets.
+# One row per public integer argument, and per integer field that from_json
+# reads: the argument's name in its function's signature, a call that passes
+# the value as that argument, and for a bounded argument a value outside the
+# bound with the message it gets.
 INT_ARGUMENTS = {
     "is_prime": ("n", is_prime, None),
     "factorize": ("n", factorize, (0, "n must be >= 1, got 0")),
@@ -169,6 +170,12 @@ INT_ARGUMENTS = {
     "graph_psl2": ("q", graph_psl2, (3, "q must be >= 4, got 3")),
     "CharGraph-vertex": ("vertex", lambda v: CharGraph([2, v]), None),
     "CharGraph-edge": ("edge endpoint", lambda v: CharGraph([2, 3], [(2, v)]), None),
+    "CharGraph.from_json-vertex": ("vertex", lambda v: CharGraph.from_json({"vertices": [2, v], "edges": []}), None),
+    "CharGraph.from_json-edge": ("edge endpoint",
+                                 lambda v: CharGraph.from_json({"vertices": [2, 3], "edges": [[2, v]]}), None),
+    "DegreeSet": ("degree", lambda v: DegreeSet([1, v]), (0, "degree must be >= 1, got 0")),
+    "DegreeSet.from_json": ("degree", lambda v: DegreeSet.from_json({"degrees": [1, v]}),
+                            (0, "degree must be >= 1, got 0")),
     "is_kn_free": ("clique size", lambda v: is_kn_free(CharGraph([2, 3]), v),
                    (1, "clique size must be >= 2, got 1")),
     "Complete": ("n", Complete, (-1, "n must be >= 0, got -1")),
@@ -184,11 +191,12 @@ INT_ARGUMENTS = {
 
 class TestIntArguments:
     """_value.check_int is the one rule for the library's integer
-    arguments: an exact int, not a bool or a float, inside its bounds.  A
-    value that breaks it is a ValueError naming the argument, never an
-    answer or a TypeError from deep inside."""
+    arguments, those read from JSON included: an exact int, not a bool, a
+    float or a string, inside its bounds.  A value that breaks it is a
+    ValueError naming the argument, never an answer or a TypeError from
+    deep inside."""
 
-    @pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+    @pytest.mark.parametrize("bad", [True, 2.0, "3"], ids=["bool", "float", "str"])
     @pytest.mark.parametrize("row", sorted(INT_ARGUMENTS))
     def test_non_int_is_a_value_error(self, row, bad):
         name, call, _ = INT_ARGUMENTS[row]
