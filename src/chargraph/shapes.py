@@ -143,6 +143,7 @@ class _Parser:
         ch = self.peek()
         if ch in ("K", "C"):
             self.take()
+            self.skip_ws()
             at = self.pos
             n = self.parse_int()
             try:

@@ -1,5 +1,12 @@
-import random
+"""Shared test inputs.
+
+Random graphs and shapes come from the hypothesis strategies here,
+`char_graphs` and `shape_asts`, drawn through `@given`, so a failure
+reports a shrunk input.  A case that must be covered is an `@example`.
+"""
 from itertools import combinations
+
+from hypothesis import strategies as st
 
 from chargraph.graphs import CharGraph
 from chargraph.shapes import Complement, Complete, Cycle, Join, Union
@@ -7,30 +14,27 @@ from chargraph.shapes import Complement, Complete, Cycle, Join, Union
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def random_chargraph(rng: random.Random, max_vertices: int = 7) -> CharGraph:
-    k = rng.randint(0, max_vertices)
-    verts = rng.sample(PRIMES, k)
-    edges = [e for e in combinations(sorted(verts), 2) if rng.random() < 0.4]
-    return CharGraph(verts, edges)
+@st.composite
+def char_graphs(draw, pool=PRIMES, max_vertices=7):
+    """Graphs on up to max_vertices primes of pool; each pair is an edge or not by its own draw."""
+    verts = sorted(draw(st.sets(st.sampled_from(pool), max_size=max_vertices)))
+    pairs = list(combinations(verts, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return CharGraph(verts, [p for p, k in zip(pairs, keep) if k])
 
 
-def random_shape_expr(rng: random.Random, max_leaves: int = 4, max_leaf_size: int = 4):
-    """A random AST whose total leaf size stays within max_leaves * max_leaf_size."""
-    def leaf():
-        if rng.random() < 0.6:
-            return Complete(rng.randint(0, max_leaf_size))
-        return Cycle(rng.randint(3, max(3, max_leaf_size)))
-
-    def build(budget: int, depth: int):
-        if depth >= 3 or budget <= 1 or rng.random() < 0.35:
-            return leaf()
-        roll = rng.random()
-        if roll < 0.25:
-            return Complement(build(budget, depth + 1))
-        parts = tuple(build(budget // 2, depth + 1) for _ in range(rng.randint(2, 3)))
-        return Union(parts) if roll < 0.65 else Join(parts)
-
-    return build(max_leaves, 0)
+shape_asts = st.recursive(
+    st.one_of(
+        st.integers(min_value=0, max_value=7).map(Complete),
+        st.integers(min_value=3, max_value=7).map(Cycle),
+    ),
+    lambda inner: st.one_of(
+        inner.map(Complement),
+        st.lists(inner, min_size=2, max_size=3).map(Union),
+        st.lists(inner, min_size=2, max_size=3).map(Join),
+    ),
+    max_leaves=6,
+)
 
 
 def leaf_vertex_total(expr) -> int:
