@@ -48,6 +48,11 @@ class TestCharGraphType:
         with pytest.raises(ValueError):
             CharGraph([4])
 
+    @pytest.mark.parametrize("vertex", [2.0, 41.0, True])
+    def test_rejects_non_int_vertex(self, vertex):
+        with pytest.raises(ValueError, match=f"^vertex must be an int, got {vertex!r}$"):
+            CharGraph([vertex])
+
     @pytest.mark.parametrize("edge", [(2, 3.0), (2.0, 3)])
     def test_rejects_non_int_edge_endpoint(self, edge):
         # 3.0 == 3 is in the vertex set, so the membership check alone let

@@ -98,7 +98,12 @@ class TestNodes:
         (Join, (), "a join needs two or more parts, got 0"),
         (Union, (Complete(1),), "a union needs two or more parts, got 1"),
         (Join, (Complete(1),), "a join needs two or more parts, got 1"),
-    ], ids=["complete", "cycle", "union", "join", "union-one", "join-one"])
+        (Complete, True, "n must be an int, got True"),
+        (Complete, 2.5, r"n must be an int, got 2\.5"),
+        (Cycle, 4.0, r"n must be an int, got 4\.0"),
+        (Cycle, "5", "n must be an int, got '5'"),
+    ], ids=["complete", "cycle", "union", "join", "union-one", "join-one", "complete-bool", "complete-float",
+            "cycle-float", "cycle-str"])
     def test_invalid_nodes_rejected(self, node, arg, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             node(arg)
