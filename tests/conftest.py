@@ -4,7 +4,9 @@ Random graphs and shapes come from the hypothesis strategies here,
 `char_graphs` and `shape_asts`, drawn through `@given`, so a failure
 reports a shrunk input.  A case that must be covered is an `@example`.
 """
+import json
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -12,6 +14,14 @@ from chargraph.graphs import CharGraph
 from chargraph.shapes import Complement, Complete, Cycle, Join, Union
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The f of each case of the main theorem: PSL2(2^f) with seven vertices.
+CASE_FS = {"I": (2, 3), "II": (6, 9, 11, 23), "III": (14, 15, 21, 27, 29, 47, 53)}
+
+# Rows [f, factors of 2^f - 1, factors of 2^f + 1] for f = 2..63, each a
+# list of [prime, exponent]; frozen from sympy.factorint
+# (tests/test_classify.py checks the table itself).
+FACTOR_TABLE = json.loads((Path(__file__).parent / "golden" / "mersenne_factors.json").read_text())
 
 
 @st.composite

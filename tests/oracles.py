@@ -114,30 +114,6 @@ def brute_triangle(vertices, edge_set) -> tuple | None:
     return None
 
 
-def brute_palfy(vertices, edge_set) -> bool:
-    """No three vertices may be pairwise non-adjacent."""
-    for t in combinations(sorted(vertices), 3):
-        if all(tuple(sorted(pair)) not in edge_set for pair in combinations(t, 2)):
-            return False
-    return True
-
-
-def brute_solvable_shape(vertices, edge_set) -> bool:
-    """Triangle, or exactly a 4-cycle; small graphs pass vacuously."""
-    vs = sorted(vertices)
-    if len(vs) <= 3:
-        return True
-    if brute_triangle(vs, edge_set) is not None:
-        return True
-    if len(vs) != 4 or len(edge_set) != 4:
-        return False
-    degree = {v: 0 for v in vs}
-    for a, b in edge_set:
-        degree[a] += 1
-        degree[b] += 1
-    return all(d == 2 for d in degree.values())
-
-
 def brute_isomorphic(a_vertices, a_edges, b_vertices, b_edges) -> bool:
     avs, bvs = sorted(a_vertices), sorted(b_vertices)
     if len(avs) != len(bvs) or len(a_edges) != len(b_edges):

@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import random
@@ -22,6 +21,7 @@ from chargraph.arith import (
     prime_divisors,
     zsigmondy,
 )
+from conftest import FACTOR_TABLE
 from oracles import brute_zsigmondy, trial_factorize, trial_is_prime, trial_prime_divisors
 
 
@@ -96,9 +96,6 @@ class TestFactorize:
         assert factorize(n).factors == tuple(trial_factorize(n))
 
 
-# Rows [f, factors of 2^f - 1, factors of 2^f + 1] for f = 2..63, frozen
-# from sympy.factorint (tests/test_classify.py checks the table itself).
-FACTOR_TABLE = json.loads((Path(__file__).parent / "golden" / "mersenne_factors.json").read_text())
 KNOWN_2K = {2**f + sign: tuple(map(tuple, factors))
             for f, minus, plus in FACTOR_TABLE for sign, factors in ((-1, minus), (1, plus))}
 KNOWN_2K.update({2**0 + 1: ((2, 1),), 2**1 - 1: (), 2**1 + 1: ((3, 1),)})

@@ -1,8 +1,6 @@
-import json
 import math
 import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,10 +23,8 @@ from chargraph.classify import (
 from chargraph.degrees import graph_psl2
 from chargraph.graphs import CharGraph, DegreeSet
 from chargraph.shapes import eval_shape
-from conftest import PRIMES, char_graphs
+from conftest import CASE_FS, FACTOR_TABLE, PRIMES, char_graphs
 from oracles import divisors, smallest_prime_factors, trial_is_prime, zsigmondy_bounds
-
-CASE_FS = {"I": (2, 3), "II": (6, 9, 11, 23), "III": (14, 15, 21, 27, 29, 47, 53)}
 
 
 @pytest.mark.parametrize("case,f", [(case, f) for case, fs in CASE_FS.items() for f in fs])
@@ -78,14 +74,21 @@ def test_verify_main_rejects_a_nonconforming_radical(f, radical, message):
     assert info.value.failures == [message]
 
 
-def test_verify_main_evaluates_each_expected_shape_once():
+def test_verify_main_evaluates_each_expected_shape_once(monkeypatch):
     # Two passes over the 13 case f need the three case shapes, once each.
-    runs = []
+    # A wrapper bound to classify.eval_shape, as a tracer installs, sees
+    # every one of those runs, so the cache reads that binding at call time.
+    runs, calls = [], []
 
     def count_eval_shape(frame, event, arg):
         if event == "call" and frame.f_code is eval_shape.__code__:
             runs.append(frame)
 
+    def counting(expr):
+        calls.append(expr)
+        return eval_shape(expr)
+
+    monkeypatch.setattr(classify, "eval_shape", counting)
     classify._expected_graph.cache_clear()
     sys.setprofile(count_eval_shape)
     try:
@@ -94,24 +97,7 @@ def test_verify_main_evaluates_each_expected_shape_once():
                 assert verify_main(f, synthetic_radical(f)).verified is True
     finally:
         sys.setprofile(None)
-    assert len(runs) <= 3
-
-
-def test_expected_graph_reads_eval_shape_at_call_time(monkeypatch):
-    # A wrapper bound to classify.eval_shape, as a tracer installs, sees
-    # every evaluation of a case shape: three over two passes.
-    calls = []
-
-    def counting(expr):
-        calls.append(expr)
-        return eval_shape(expr)
-
-    monkeypatch.setattr(classify, "eval_shape", counting)
-    classify._expected_graph.cache_clear()
-    for _ in range(2):
-        for f in (f for fs in CASE_FS.values() for f in fs):
-            assert verify_main(f, synthetic_radical(f)).verified is True
-    assert len(calls) == 3
+    assert (len(runs), len(calls)) == (3, 3)
 
 
 @pytest.mark.parametrize("call,value,name", [
@@ -162,9 +148,6 @@ def test_a_scan_hit_is_immutable(scan, bound):
         hit.fields["f"] = 99
 
 
-# Rows [f, factors of 2^f - 1, factors of 2^f + 1] for f = 2..63, each a
-# list of [prime, exponent]; frozen from sympy.factorint.
-FACTOR_TABLE = json.loads((Path(__file__).parent / "golden" / "mersenne_factors.json").read_text())
 COUNT_PAIRS = {f: (len(minus), len(plus)) for f, minus, plus in FACTOR_TABLE}
 
 

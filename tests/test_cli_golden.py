@@ -17,11 +17,11 @@ from pathlib import Path
 import pytest
 
 from chargraph import cli
+from conftest import CASE_FS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = GOLDEN / "cli.json"
 
-CASE_FS = (2, 3, 6, 9, 11, 14, 15, 21, 23, 27, 29, 47, 53)
 PSL2_QS = (4, 5, 7, 8, 9, 25, 27, 49, 64, 81, 1024, 65537)
 SHAPES = ("K3^c * C4", "(K2 + K1 + K2) * K2^c", "K3 + K1 + K3", "K0", "C5^c", "K1 * K1 * K1")
 
@@ -54,7 +54,7 @@ def commands() -> list[list[str]]:
         each_format(["iso", a, b])
     for f in range(2, 64):
         each_format(["classify-f", str(f)])
-    for f in CASE_FS:
+    for f in sorted(f for fs in CASE_FS.values() for f in fs):
         each_format(["verify-main", "--f", str(f)])
     for f, name in ((2, "radical_f2"), (6, "radical_f6"), (14, "radical_f14")):
         each_format(["verify-main", "--f", str(f), "--radical", f"{{inputs}}/{name}.json"])

@@ -194,7 +194,11 @@ class TestIntArguments:
     arguments, those read from JSON included: an exact int, not a bool, a
     float or a string, inside its bounds.  A value that breaks it is a
     ValueError naming the argument, never an answer or a TypeError from
-    deep inside."""
+    deep inside.
+
+    This is the one test of the rule: a new public integer argument gets a
+    row in INT_ARGUMENTS, not a test in its own module.  The older
+    per-module tests that still repeat a row here check nothing more."""
 
     @pytest.mark.parametrize("bad", [True, 2.0, "3"], ids=["bool", "float", "str"])
     @pytest.mark.parametrize("row", sorted(INT_ARGUMENTS))
