@@ -31,12 +31,6 @@ class TestFactorize:
         assert factorize(1).factors == ()
         assert dict(factorize(16383).factors) == {3: 1, 43: 1, 127: 1}
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            factorize(0)
-        with pytest.raises(ValueError):
-            factorize(-12)
-
     def test_width_boundary(self):
         assert dict(factorize(U64_MAX).factors) == {
             3: 1, 5: 1, 17: 1, 257: 1, 641: 1, 65537: 1, 6700417: 1,
@@ -330,7 +324,6 @@ class TestFactorizationType:
         assert hash(fac) == hash(factorize(12))
         assert fac.factors == ((2, 2), (3, 1)) and type(fac.factors) is tuple
         assert all(type(pair) is tuple for pair in fac.factors)
-        assert repr(fac) == "Factorization(n=12, factors=((2, 2), (3, 1)))"
         factors.append((5, 1))  # the caller's list is not the stored value
         assert fac == factorize(12)
 
