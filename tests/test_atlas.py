@@ -53,10 +53,6 @@ def test_check_solvable_shape_matches_networkx():
     assert [check_solvable_shape(c) for _, c in ATLAS] == [nx_solvable_shape(g) for g, _ in ATLAS]
 
 
-def test_is_k4_free_matches_networkx():
-    assert [is_kn_free(c, 4) for _, c in ATLAS] == [nx_kn_free(g, 4) for g, _ in ATLAS]
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_is_kn_free_matches_networkx(n):
     # The neighbourhood search against networkx's maximal cliques, for
