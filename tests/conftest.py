@@ -1,15 +1,25 @@
-"""Shared test inputs.
+"""Shared test inputs and the two ways to run the program.
 
 Random graphs and shapes come from the hypothesis strategies here,
 `char_graphs` and `shape_asts`, drawn through `@given`, so a failure
 reports a shrunk input.  A case that must be covered is an `@example`.
+
+`run_cli` runs the command line in process; `run_python` runs a fresh
+interpreter on this checkout's `src/`.  Tests call the program only
+through these two.
 """
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
 from hypothesis import strategies as st
 
+from chargraph import cli
 from chargraph.graphs import CharGraph
 from chargraph.shapes import Complement, Complete, Cycle, Join, Union
 
@@ -22,6 +32,23 @@ CASE_FS = {"I": (2, 3), "II": (6, 9, 11, 23), "III": (14, 15, 21, 27, 29, 47, 53
 # list of [prime, exponent]; frozen from sympy.factorint
 # (tests/test_classify.py checks the table itself).
 FACTOR_TABLE = json.loads((Path(__file__).parent / "golden" / "mersenne_factors.json").read_text())
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of cli.main(argv); argparse's SystemExit counts as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run sys.executable with args on this checkout's src/; kwargs go to subprocess.run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    return subprocess.run([sys.executable, *args], text=True, env=env, **kwargs)
 
 
 @st.composite

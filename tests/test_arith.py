@@ -1,9 +1,5 @@
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +17,7 @@ from chargraph.arith import (
     prime_divisors,
     zsigmondy,
 )
-from conftest import FACTOR_TABLE
+from conftest import FACTOR_TABLE, run_python
 from oracles import brute_zsigmondy, trial_factorize, trial_is_prime, trial_prime_divisors
 
 
@@ -38,21 +34,12 @@ class TestFactorize:
         with pytest.raises(OverflowError):
             factorize(U64_MAX + 1)
 
-    def test_pollard_rho_path(self):
-        # Both cofactors sit above the trial-division bound.
-        fac = factorize(2**58 + 1)
-        assert dict(fac.factors) == {5: 1, 107367629: 1, 536903681: 1}
-        for p in fac.primes:
-            assert trial_is_prime(p)
-
     def test_rho_determinism_across_calls_and_processes(self):
         n = 2**58 + 1
         first = factorize(n).factors
         assert factorize(n).factors == first
         code = f"from chargraph.arith import factorize; print(factorize({n}).factors)"
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        out = run_python("-c", code, capture_output=True, check=True)
         assert out.stdout.strip() == repr(first)
 
     @pytest.mark.parametrize("n", [

@@ -1,11 +1,14 @@
-import contextlib
-import io
+"""The command line: exit codes, integer arguments, output errors, a fuzz of
+every verb and the README's examples.
+
+`EXIT_2` is the one test of the exit-2 rule: bad input exits 2 with empty
+stdout and one stderr line.  A new bad input gets a row there, not a test.
+"""
 import json
 import os
 import re
 import shlex
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -15,64 +18,77 @@ from hypothesis import strategies as st
 import chargraph
 from chargraph import classify, cli, graphs, shapes
 from chargraph.arith import is_prime
+from conftest import run_cli, run_python
+
+DEEP = "(" * 400 + "K1" + ")" * 400
+DEEP_PREFIX = "syntax error: parentheses nested deeper than"
+# Deeper than the JSON decoder can recurse.  Written as raw text, because
+# json.dumps of such a value recurses as well.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+DEEP_JSON_ERROR = "error: JSON input is nested too deeply\n"
+FIRST_PRIMES = [p for p in range(2, 1000) if is_prime(p)]
+RADICAL = ["verify-main", "--f", "6", "--radical", "{file}"]
+
+# id -> (argv, text of the file that "{file}" names or None, the start of
+# stderr); an expected text that ends in "\n" is the whole line.
+EXIT_2 = {
+    "vertices-not-a-list": (["iso", '{"vertices": 5, "edges": []}', "K1"], None, "error: "),
+    "float-vertex": (["iso", '{"vertices": [2.0], "edges": []}', "K1"], None, "error: "),
+    "string-vertex": (["iso", '{"vertices": ["2"], "edges": []}', "K1"], None, "error: "),
+    "edge-not-a-pair": (["iso", '{"vertices": [2, 3], "edges": [[2, 3, 5]]}', "K1"], None, "error: "),
+    "graph-not-an-object": (["iso", "{file}", "K1"], "[2, 3]", "error: "),
+    "float-degree": (["check-solvable", "{file}"], '{"degrees": [1, 2.5]}', "error: "),
+    "degrees-a-string": (["check-solvable", "{file}"], '{"degrees": "123"}', "error: "),
+    "bool-degree": (["check-solvable", "{file}"], "[1, true, 3]", "error: "),
+    "degree-set-a-string": (["check-solvable", "{file}"], '"123"', "error: "),
+    "radical-entry-a-string": (RADICAL, '[[1, 2], "x"]', "error: "),
+    "bool-radical-degree": (RADICAL, "[[1, true, 11]]", "error: "),
+    "bad-json-file": (["check-solvable", "{file}"], '{"degrees": [1, 6\n',
+                      "error: Expecting ',' delimiter: line 2 column 1 (char 18)\n"),
+    "bad-json-inline": (["iso", '{"vertices": [2', "K1"], None,
+                        "error: Expecting ',' delimiter: line 1 column 16 (char 15)\n"),
+    "scan-oddfour-max-2": (["scan", "oddfour", "--max", "2"], None, "error: q_max must be in [3, 100000], got 2\n"),
+    "scan-interest-max-64": (["scan", "interest", "--max", "64"], None, "error: f_max must be in [2, 63], got 64\n"),
+    "parse-shape-deep": (["parse-shape", DEEP], None, DEEP_PREFIX),
+    "iso-first-deep": (["iso", DEEP, "K1"], None, DEEP_PREFIX),
+    "iso-second-deep": (["iso", "K1", DEEP], None, DEEP_PREFIX),
+    "parse-shape-over-cap": (["parse-shape", "K128 + C129"], None, "error: shape has 257 vertices"),
+    "parse-shape-C2": (["parse-shape", "K2 + C2"], None, "syntax error: C2: n must be >= 3, got 2 (at position 6)\n"),
+    "deep-json-check-solvable": (["check-solvable", "{file}"], DEEP_JSON, DEEP_JSON_ERROR),
+    "deep-json-radical": (RADICAL, DEEP_JSON, DEEP_JSON_ERROR),
+    "deep-json-iso-inline": (["iso", '{"vertices": ' + "[" * 20_000 + "]" * 20_000 + "}", "K1"], None, DEEP_JSON_ERROR),
+    "deep-json-iso-file": (["iso", "K1", "{file}"], DEEP_JSON, DEEP_JSON_ERROR),
+    **{f"check-solvable-{count}-vertices": (
+        ["check-solvable", "{file}"], json.dumps([1] + FIRST_PRIMES[:count]),
+        f"error: graph has {count} vertices; exhaustive search is bounded at 12\n") for count in (13, 150)},
+    # The first two would build a power of millions of digits, or run out of
+    # memory, if the width were checked only after building base^n.
+    **{f"zsigmondy-{base}-{n}": (
+        ["zsigmondy", str(base), str(n)], None, f"error: {base}^{n} - 1 exceeds the supported 64-bit range\n")
+       for base, n in ((3, 10_000_000), (2, 10_000_000_000), (2, 65))},
+}
 
 
-@pytest.mark.parametrize("argv,file_data", [
-    (["iso", '{"vertices": 5, "edges": []}', "K1"], None),
-    (["iso", '{"vertices": [2.0], "edges": []}', "K1"], None),
-    (["iso", '{"vertices": ["2"], "edges": []}', "K1"], None),
-    (["iso", '{"vertices": [2, 3], "edges": [[2, 3, 5]]}', "K1"], None),
-    (["iso", "{file}", "K1"], [2, 3]),
-    (["check-solvable", "{file}"], {"degrees": [1, 2.5]}),
-    (["check-solvable", "{file}"], {"degrees": "123"}),
-    (["check-solvable", "{file}"], [1, True, 3]),
-    (["check-solvable", "{file}"], "123"),
-    (["verify-main", "--f", "6", "--radical", "{file}"], [[1, 2], "x"]),
-    (["verify-main", "--f", "6", "--radical", "{file}"], [[1, True, 11]]),
-], ids=["vertices-not-a-list", "float-vertex", "string-vertex", "edge-not-a-pair",
-        "graph-not-an-object", "float-degree", "degrees-a-string", "bool-degree",
-        "degree-set-a-string", "radical-entry-a-string", "bool-radical-degree"])
-def test_malformed_input_exits_2_with_one_line(argv, file_data, tmp_path, capsys):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(file_data))
-    code = cli.main([a.replace("{file}", str(path)) for a in argv])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-
-@pytest.mark.parametrize("argv,text,message", [
-    (["check-solvable", "{file}"], '{"degrees": [1, 6\n', "Expecting ',' delimiter: line 2 column 1 (char 18)"),
-    (["iso", '{"vertices": [2', "K1"], None, "Expecting ',' delimiter: line 1 column 16 (char 15)"),
-], ids=["json-file", "inline-graph"])
-def test_malformed_json_exits_2_with_one_line(argv, text, message, tmp_path, capsys):
+@pytest.mark.parametrize("row", EXIT_2)
+def test_bad_input_exits_2_with_one_line(row, tmp_path):
+    argv, text, expected = EXIT_2[row]
     path = tmp_path / "input.json"
     path.write_text(text or "")
-    code = cli.main([a.replace("{file}", str(path)) for a in argv])
-    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["scan", "oddfour", "--max", "2"], "q_max must be in [3, 100000], got 2"),
-    (["scan", "interest", "--max", "64"], "f_max must be in [2, 63], got 64"),
-], ids=["oddfour", "interest"])
-def test_scanner_bound_out_of_range_exits_2_with_one_line(argv, message, capsys):
-    code = cli.main(argv)
-    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+    code, out, err = run_cli([a.replace("{file}", str(path)) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(expected)
 
 
 @pytest.mark.parametrize("argv", [
     ["scan", "evenfive", "--max", "12"],
     ["scan", "oddfour", "--max", "30"],
 ], ids=["evenfive", "oddfour"])
-def test_scan_with_a_counterexample_exits_1(argv, monkeypatch, capsys):
+def test_scan_with_a_counterexample_exits_1(argv, monkeypatch):
     # No f or q up to the bound is a counterexample; reading every number
     # as composite takes the clauses that need a prime away.
     monkeypatch.setattr(classify, "is_prime", lambda n: False)
-    code = cli.main(argv)
-    lines = capsys.readouterr().out.splitlines()
+    code, out, _ = run_cli(argv)
+    lines = out.splitlines()
     assert code == 1
     assert any("COUNTEREXAMPLE" in line.split() for line in lines[:-1])
     assert not lines[-1].endswith(" 0 counterexample(s)")
@@ -80,96 +96,25 @@ def test_scan_with_a_counterexample_exits_1(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["factor", "١٢"], ["factor", "1_2"], ["classify-f", "٦"]],
                          ids=["arabic-indic-digits", "underscore", "arabic-indic-f"])
-def test_integer_arguments_take_ascii_digits_only(argv, capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(argv)
-    out, err = capsys.readouterr()
-    assert (info.value.code, out) == (2, "")
+def test_integer_arguments_take_ascii_digits_only(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
     assert f"invalid integer value: {argv[1]!r}" in err
-
-
-DEEP = "(" * 400 + "K1" + ")" * 400
-
-
-@pytest.mark.parametrize("argv,prefix", [
-    (["parse-shape", DEEP], "syntax error: parentheses nested deeper than"),
-    (["iso", DEEP, "K1"], "syntax error: parentheses nested deeper than"),
-    (["iso", "K1", DEEP], "syntax error: parentheses nested deeper than"),
-    (["parse-shape", "K128 + C129"], "error: shape has 257 vertices"),
-], ids=["parse-shape-deep", "iso-first-deep", "iso-second-deep", "parse-shape-over-cap"])
-def test_oversized_shape_exits_2_with_one_line(argv, prefix, capsys):
-    code = cli.main(argv)
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == ""
-    assert err.startswith(prefix) and err.count("\n") == 1
-
-
-# Deeper than the JSON decoder can recurse.  Written as raw text, because
-# json.dumps of such a value recurses as well.
-DEEP_JSON = "[" * 100_000 + "]" * 100_000
-
-
-@pytest.mark.parametrize("argv", [
-    ["check-solvable", "{file}"],
-    ["verify-main", "--f", "6", "--radical", "{file}"],
-    ["iso", '{"vertices": ' + "[" * 20_000 + "]" * 20_000 + "}", "K1"],
-    ["iso", "K1", "{file}"],
-], ids=["check-solvable-file", "radical-file", "iso-inline", "iso-file"])
-def test_deeply_nested_json_exits_2_with_one_line(argv, tmp_path, capsys):
-    path = tmp_path / "deep.json"
-    path.write_text(DEEP_JSON)
-    code = cli.main([a.replace("{file}", str(path)) for a in argv])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == ""
-    assert err == "error: JSON input is nested too deeply\n"
-
-
-@pytest.mark.parametrize("count", [13, 150])
-def test_check_solvable_past_the_search_bound_exits_2(count, tmp_path, capsys):
-    primes = [p for p in range(2, 1000) if is_prime(p)][:count]
-    path = tmp_path / "cd.json"
-    path.write_text(json.dumps([1] + primes))
-    code = cli.main(["check-solvable", str(path)])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == ""
-    assert err == f"error: graph has {count} vertices; exhaustive search is bounded at 12\n"
-
-
-@pytest.mark.parametrize("base,n", [(3, 10_000_000), (2, 10_000_000_000), (2, 65)])
-def test_zsigmondy_past_u64_exits_2_with_one_line(base, n, capsys):
-    # The first two would build a power of millions of digits, or run out of
-    # memory, if the width were checked only after building base^n.
-    code = cli.main(["zsigmondy", str(base), str(n)])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {base}^{n} - 1 exceeds the supported 64-bit range\n"
 
 
 @pytest.mark.parametrize("fmt,expected", [
     ("json", '{"isomorphic":true,"mapping":{}}\n'),
     ("table", "isomorphic:\n"),
 ])
-def test_iso_of_two_empty_graphs_prints_the_empty_mapping(fmt, expected, capsys):
-    code = cli.main(["iso", "--format", fmt, "K0", "K0"])
-    out, err = capsys.readouterr()
-    assert (code, out, err) == (0, expected, "")
-
-
-def run_cli_process(argv, **kwargs):
-    """Run the CLI in a fresh interpreter on this checkout's source."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    return subprocess.run([sys.executable, "-m", "chargraph.cli", *argv], text=True, env=env, **kwargs)
+def test_iso_of_two_empty_graphs_prints_the_empty_mapping(fmt, expected):
+    assert run_cli(["iso", "--format", fmt, "K0", "K0"]) == (0, expected, "")
 
 
 def test_join_of_many_empty_parts_is_fast():
     # K0 has no vertices, so the shape's vertex cap does not bound the number
     # of parts, and join must stay linear in it.
-    out = run_cli_process(["parse-shape", " * ".join(["K0"] * 16_000)], capture_output=True, timeout=5, check=True)
+    out = run_python("-m", "chargraph.cli", "parse-shape", " * ".join(["K0"] * 16_000),
+                     capture_output=True, timeout=5, check=True)
     assert out.stdout == '{"edges":[],"vertices":[]}\n'
 
 
@@ -179,7 +124,8 @@ def test_join_of_many_empty_parts_is_fast():
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_a_full_stdout_exits_2_with_one_output_error_line():
     with open("/dev/full", "w") as full:
-        out = run_cli_process(["classify-f", "63", "--format", "json"], stdout=full, stderr=subprocess.PIPE, timeout=30)
+        out = run_python("-m", "chargraph.cli", "classify-f", "63", "--format", "json",
+                         stdout=full, stderr=subprocess.PIPE, timeout=30)
     assert out.returncode == 2
     assert out.stderr.startswith("output error:") and out.stderr.count("\n") == 1
 
@@ -188,8 +134,8 @@ def test_a_closed_pipe_exits_2_with_one_output_error_line():
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        out = run_cli_process(["parse-shape", "K256", "--format", "json"], stdout=write_end,
-                              stderr=subprocess.PIPE, timeout=30)
+        out = run_python("-m", "chargraph.cli", "parse-shape", "K256", "--format", "json",
+                         stdout=write_end, stderr=subprocess.PIPE, timeout=30)
     finally:
         os.close(write_end)
     assert out.returncode == 2
@@ -255,8 +201,7 @@ def test_fuzzed_argv_exits_0_1_or_2(verb, scratch_file):
     def run(case):
         argv, data = case
         scratch_file.write_text(json.dumps(data))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([a.replace("{file}", str(scratch_file)) for a in argv])
+        code, _, _ = run_cli([a.replace("{file}", str(scratch_file)) for a in argv])
         assert code in (0, 1, 2)
 
     run()
@@ -308,13 +253,13 @@ README_EXAMPLES = [
 
 @pytest.mark.parametrize("verb,example,shown,where", README_EXAMPLES,
                          ids=[example for _, example, _, _ in README_EXAMPLES])
-def test_readme_example_prints_what_the_table_shows(verb, example, shown, where, capsys):
+def test_readme_example_prints_what_the_table_shows(verb, example, shown, where):
     [row] = [line for line in README.read_text().splitlines() if line.startswith(f"| `{verb}` |")]
     # The row names zsigmondy's second example in its Prints column.
     named = "`none` for 2^6 − 1" if example == "zsigmondy 2 6" else f"`chargraph {example}`"
     assert named in row and f"`{shown}`" in row
-    assert cli.main(shlex.split(example)) == 0
-    out = capsys.readouterr().out
+    code, out, _ = run_cli(shlex.split(example))
+    assert code == 0
     lines = out.splitlines()
     assert {"whole": out, "first": lines[0] + "\n", "last": lines[-1] + "\n"}[where] == shown + "\n"
 

@@ -1,23 +1,21 @@
 """Golden corpus for the command line: stdout byte for byte, and the exit code.
 
-Every verb runs in process through ``cli.main`` in each of its output
-formats, together with inputs that must exit 2.  The expected results live
-in ``golden/cli.json``; after an intended change of output, rewrite it with
+Every verb runs in process through ``conftest.run_cli`` in each of its
+output formats, together with inputs that must exit 2.  The expected
+results live in ``golden/cli.json``; after an intended change of output,
+rewrite it with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
 and review the diff.
 """
 
-import contextlib
-import io
 import json
 from pathlib import Path
 
 import pytest
 
-from chargraph import cli
-from conftest import CASE_FS
+from conftest import CASE_FS, run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = GOLDEN / "cli.json"
@@ -91,12 +89,10 @@ def commands() -> list[list[str]]:
     return out
 
 
-def run(argv: list[str]) -> int:
-    resolved = [a.replace("{inputs}", str(GOLDEN / "inputs")) for a in argv]
-    try:
-        return cli.main(resolved)
-    except SystemExit as exc:  # argparse rejects the command line
-        return exc.code
+def run(argv: list[str]) -> tuple[int, str]:
+    """(exit code, stdout) of argv with '{inputs}' resolved."""
+    code, out, _ = run_cli([a.replace("{inputs}", str(GOLDEN / "inputs")) for a in argv])
+    return code, out
 
 
 def key(argv: list[str]) -> str:
@@ -109,10 +105,9 @@ def corpus() -> dict:
 
 
 @pytest.mark.parametrize("argv", commands(), ids=lambda argv: " ".join(argv) or "(no arguments)")
-def test_cli_golden(argv, corpus, capsys):
+def test_cli_golden(argv, corpus):
     expected = corpus[key(argv)]
-    code = run(argv)
-    assert (code, capsys.readouterr().out) == (expected["exit"], "\n".join(expected["stdout"]))
+    assert run(argv) == (expected["exit"], "\n".join(expected["stdout"]))
 
 
 def test_corpus_has_no_stale_entries(corpus):
@@ -122,10 +117,8 @@ def test_corpus_has_no_stale_entries(corpus):
 def regenerate() -> None:
     corpus = {}
     for argv in commands():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = run(argv)
-        corpus[key(argv)] = {"exit": code, "stdout": out.getvalue().split("\n")}
+        code, out = run(argv)
+        corpus[key(argv)] = {"exit": code, "stdout": out.split("\n")}
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
 
 

@@ -5,12 +5,8 @@ loads.
 """
 
 import copy
-import os
 import pickle
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -29,6 +25,7 @@ from chargraph.classify import (
 from chargraph.degrees import cd_psl2, graph_psl2, prime_power
 from chargraph.graphs import CharGraph, DegreeSet, is_kn_free
 from chargraph.shapes import Complement, Complete, Cycle, Join, Union
+from conftest import run_python
 
 # name -> (builds a fresh value, the repr it must print)
 VALUES = {
@@ -220,9 +217,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
         "import sys; import chargraph.cli; "
         "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    out = run_python("-S", "-c", code, capture_output=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -244,7 +239,5 @@ def test_importing_a_layer_loads_only_the_layers_below_it(module):
         f"import sys; import {module}; "
         "print(sorted(m for m in sys.modules if m.startswith('chargraph.') or m == 'random'))"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    out = run_python("-S", "-c", code, capture_output=True, check=True)
     assert out.stdout.strip() == repr([f"chargraph.{name}" for name in LAYERS[module]])
