@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Each verb's cmd_* function computes its result and returns (exit code,
-data, table text); it writes nothing.  main alone writes stdout, in the one
-format asked for: json is dumps(data), dot (offered by the two graph verbs)
-is data.to_dot(), and table is the table text.  An error a verb raises is
-written to stderr as one line.
+VERBS is the grammar: verb -> (cmd_* function, positional arguments as
+(name, reader), options as (name, reader, required), output formats, the
+default first); every verb also takes --format and -h/--help.  parse_args
+reads argv against it.  Each cmd_* function returns (exit code, data, table
+text) and writes nothing.  main alone writes stdout, in the one format asked
+for: json is dumps(data), dot (offered by the two graph verbs) is
+data.to_dot(), and table is the table text.  A command line that VERBS does
+not accept (a UsageError) and an error a verb raises are written to stderr
+as one line.
 
 Exit codes: 0 success, 1 a verification verb found a failure (a scanner
 counterexample, a failed isomorphism, verified = false), 2 usage, parse or
@@ -13,10 +17,10 @@ I/O errors.  Output is deterministic byte for byte for identical inputs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .arith import factorize, prime_divisors, zsigmondy
 from .classify import (
@@ -164,65 +168,95 @@ def integer(text: str) -> int:
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chargraph",
-        description="Character degree graphs: arithmetic, graphs, shapes, classification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def scanner(text: str) -> str:
+    """A scan argument: a name in _SCANNERS."""
+    if text not in _SCANNERS:
+        raise ValueError(text)
+    return text
 
-    def add(name: str, func, default_format: str = "table", formats=("json", "table")):
-        p = sub.add_parser(name)
-        p.add_argument("--format", choices=formats, default=default_format)
-        p.set_defaults(func=func)
-        return p
 
-    p = add("factor", cmd_factor)
-    p.add_argument("n", type=integer)
+TABLE_FORMATS, GRAPH_FORMATS = ("table", "json"), ("json", "dot", "table")
+VERBS = {
+    "factor": (cmd_factor, [("n", integer)], [], TABLE_FORMATS),
+    "pi": (cmd_pi, [("n", integer)], [], TABLE_FORMATS),
+    "zsigmondy": (cmd_zsigmondy, [("base", integer), ("n", integer)], [], TABLE_FORMATS),
+    "psl2-graph": (cmd_psl2_graph, [("q", integer)], [], GRAPH_FORMATS),
+    "parse-shape": (cmd_parse_shape, [("expr", str)], [], GRAPH_FORMATS),
+    "iso": (cmd_iso, [("first", str), ("second", str)], [], TABLE_FORMATS),
+    "classify-f": (cmd_classify_f, [("f", integer)], [], TABLE_FORMATS),
+    "verify-main": (cmd_verify_main, [], [("f", integer, True), ("radical", str, False)], TABLE_FORMATS),
+    "scan": (cmd_scan, [("which", scanner)], [("max", integer, False)], TABLE_FORMATS),
+    "check-solvable": (cmd_check_solvable, [("cd_file", str)], [], TABLE_FORMATS),
+}
 
-    p = add("pi", cmd_pi)
-    p.add_argument("n", type=integer)
 
-    p = add("zsigmondy", cmd_zsigmondy)
-    p.add_argument("base", type=integer)
-    p.add_argument("n", type=integer)
+class UsageError(ValueError):
+    """A command line that VERBS does not accept."""
 
-    p = add("psl2-graph", cmd_psl2_graph, "json", ("json", "dot", "table"))
-    p.add_argument("q", type=integer)
 
-    p = add("parse-shape", cmd_parse_shape, "json", ("json", "dot", "table"))
-    p.add_argument("expr")
+def usage(verb: str) -> str:
+    """The grammar of verb as one line; of the verb word itself if verb is unknown."""
+    if verb not in VERBS:
+        return f"chargraph {'|'.join(VERBS)} ..."
+    _, positional, options, formats = VERBS[verb]
+    words = ["|".join(_SCANNERS) if reader is scanner else f"<{name}>" for name, reader in positional]
+    words += [f"--{name} <{name}>" if required else f"[--{name} <{name}>]" for name, _, required in options]
+    return " ".join(["chargraph", verb, *words, f"[--format {'|'.join(formats)}]"])
 
-    p = add("iso", cmd_iso)
-    p.add_argument("first", help="graph JSON file, inline JSON, or shape expression")
-    p.add_argument("second", help="graph JSON file, inline JSON, or shape expression")
 
-    p = add("classify-f", cmd_classify_f)
-    p.add_argument("f", type=integer)
-
-    p = add("verify-main", cmd_verify_main)
-    p.add_argument("--f", type=integer, required=True)
-    p.add_argument("--radical", help="JSON file: list of degree sets")
-
-    p = add("scan", cmd_scan)
-    p.add_argument("which", choices=sorted(_SCANNERS))
-    p.add_argument("--max", type=integer)
-
-    p = add("check-solvable", cmd_check_solvable)
-    p.add_argument("cd_file")
-
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace the cmd_* functions read: func, format and each argument
+    under its name in VERBS.  Options come before or after the positional
+    arguments, as --name value or --name=value; '--' ends them; -5 is positional."""
+    verb, *rest = argv or [""]
+    if verb in ("-h", "--help"):
+        text = "\n".join(f"usage: {usage(name)}" for name in VERBS)
+        return SimpleNamespace(func=lambda args: (0, text, text), format="table")
+    if verb not in VERBS:
+        raise UsageError(f"unknown verb {verb!r}" if verb else "no verb given")
+    func, positional, options, formats = VERBS[verb]
+    known = {f"--{name}" for name, _, _ in options} | {"--format"}
+    raw, given, words = {}, [], iter(rest)
+    for word in words:
+        if word == "--":
+            given += words
+        elif word in ("-h", "--help"):
+            return parse_args([word])
+        elif word.startswith("--"):
+            key, eq, value = word.partition("=")
+            raw[key[2:]] = value if eq else next(words, None)
+            if key not in known or raw[key[2:]] is None:
+                raise UsageError(f"option {key} needs a value" if key in known else f"unknown option {key!r}")
+        else:
+            given.append(word)
+    if len(given) != len(positional):
+        raise UsageError(f"{verb} takes {len(positional)} argument(s), got {len(given)}")
+    args = SimpleNamespace(func=func, format=raw.pop("format", formats[0]))
+    if args.format not in formats:
+        raise UsageError(f"argument format: invalid choice: {args.format!r}")
+    raw.update(zip([name for name, _ in positional], given))
+    for name, reader, required in [(name, reader, True) for name, reader in positional] + options:
+        if required and name not in raw:
+            raise UsageError(f"option --{name} is required")
+        try:
+            setattr(args, name, reader(raw[name]) if name in raw else None)
+        except ValueError:
+            raise UsageError(f"argument {name}: invalid {reader.__name__} value: {raw[name]!r}") from None
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = parse_args(argv)
         code, data, text = args.func(args)
         if args.format == "json":
             text = dumps(data)
         elif args.format == "dot":
             text = data.to_dot()
+    except UsageError as exc:
+        print(f"usage error: {exc}; usage: {usage(argv[0] if argv else '')}", file=sys.stderr)
+        return 2
     except ShapeSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2

@@ -35,13 +35,10 @@ FACTOR_TABLE = json.loads((Path(__file__).parent / "golden" / "mersenne_factors.
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of cli.main(argv); argparse's SystemExit counts as the exit code."""
+    """(exit code, stdout, stderr) of cli.main(argv)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
+        code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
 

@@ -34,10 +34,14 @@ class TestFactorize:
         with pytest.raises(OverflowError):
             factorize(U64_MAX + 1)
 
-    def test_rho_determinism_across_calls_and_processes(self):
-        n = 2**58 + 1
+    def test_rho_determinism_across_calls_and_processes(self, monkeypatch):
+        n = 1031 * 1033  # both primes above TRIAL_BOUND, so rho splits n
+        calls = []
+        rho = arith._pollard_rho
+        monkeypatch.setattr(arith, "_pollard_rho", lambda m: calls.append(m) or rho(m))
         first = factorize(n).factors
         assert factorize(n).factors == first
+        assert calls == [n, n]
         code = f"from chargraph.arith import factorize; print(factorize({n}).factors)"
         out = run_python("-c", code, capture_output=True, check=True)
         assert out.stdout.strip() == repr(first)

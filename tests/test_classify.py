@@ -100,18 +100,6 @@ def test_verify_main_evaluates_each_expected_shape_once(monkeypatch):
     assert (len(runs), len(calls)) == (3, 3)
 
 
-@pytest.mark.parametrize("call,value,name", [
-    (classify_f, 6.0, "f"),
-    (classify_f, True, "f"),
-    (scan_lemma_interest, 10.5, "f_max"),
-    (scan_lemma_evenfive, 12.0, "f_max"),
-    (scan_lemma_oddfour, 1000.5, "q_max"),
-])
-def test_non_int_bounds_are_a_value_error(call, value, name):
-    with pytest.raises(ValueError, match=rf"^{name} must be an int, got {value!r}$"):
-        call(value)
-
-
 def test_verify_main_rejects_f_without_a_case():
     with pytest.raises(ValueError, match="no case applies"):
         verify_main(4, [])

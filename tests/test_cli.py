@@ -1,5 +1,5 @@
-"""The command line: exit codes, integer arguments, output errors, a fuzz of
-every verb and the README's examples.
+"""The command line: exit codes, the grammar and help, output errors, a fuzz
+of every verb and the README's examples.
 
 `EXIT_2` is the one test of the exit-2 rule: bad input exits 2 with empty
 stdout and one stderr line.  A new bad input gets a row there, not a test.
@@ -28,6 +28,10 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
 DEEP_JSON_ERROR = "error: JSON input is nested too deeply\n"
 FIRST_PRIMES = [p for p in range(2, 1000) if is_prime(p)]
 RADICAL = ["verify-main", "--f", "6", "--radical", "{file}"]
+FACTOR_USAGE = "; usage: chargraph factor <n> [--format table|json]\n"
+SCAN_USAGE = "; usage: chargraph scan interest|evenfive|oddfour [--max <max>] [--format table|json]\n"
+VERB_USAGE = ("; usage: chargraph factor|pi|zsigmondy|psl2-graph|parse-shape|iso|classify-f|verify-main|scan|"
+              "check-solvable ...\n")
 
 # id -> (argv, text of the file that "{file}" names or None, the start of
 # stderr); an expected text that ends in "\n" is the whole line.
@@ -66,6 +70,32 @@ EXIT_2 = {
     **{f"zsigmondy-{base}-{n}": (
         ["zsigmondy", str(base), str(n)], None, f"error: {base}^{n} - 1 exceeds the supported 64-bit range\n")
        for base, n in ((3, 10_000_000), (2, 10_000_000_000), (2, 65))},
+    # Usage errors: integer arguments take ASCII digits only (int() alone
+    # also reads other scripts' digits and underscores).
+    "arabic-indic-digits": (["factor", "١٢"], None,
+                            "usage error: argument n: invalid integer value: '١٢'" + FACTOR_USAGE),
+    "underscore": (["factor", "1_2"], None, "usage error: argument n: invalid integer value: '1_2'" + FACTOR_USAGE),
+    "arabic-indic-f": (["classify-f", "٦"], None, "usage error: argument f: invalid integer value: '٦'; "
+                       "usage: chargraph classify-f <f> [--format table|json]\n"),
+    "no-arguments": ([], None, "usage error: no verb given" + VERB_USAGE),
+    "unknown-verb": (["frobnicate"], None, "usage error: unknown verb 'frobnicate'" + VERB_USAGE),
+    "factor-no-argument": (["factor"], None, "usage error: factor takes 1 argument(s), got 0" + FACTOR_USAGE),
+    "factor-two-arguments": (["factor", "1", "2"], None,
+                             "usage error: factor takes 1 argument(s), got 2" + FACTOR_USAGE),
+    "factor-format-dot": (["factor", "12", "--format", "dot"], None,
+                          "usage error: argument format: invalid choice: 'dot'" + FACTOR_USAGE),
+    "factor-unknown-option": (["factor", "12", "--bogus", "1"], None,
+                              "usage error: unknown option '--bogus'" + FACTOR_USAGE),
+    # No abbreviated options: --form is not --format.
+    "factor-abbreviated-option": (["factor", "12", "--form", "json"], None,
+                                  "usage error: unknown option '--form'" + FACTOR_USAGE),
+    # -5 is an argument, not an option, so factorize rejects it.
+    "factor-minus-5": (["factor", "-5"], None, "error: n must be >= 1, got -5\n"),
+    "scan-unknown-name": (["scan", "nothing"], None,
+                          "usage error: argument which: invalid scanner value: 'nothing'" + SCAN_USAGE),
+    "scan-max-no-value": (["scan", "oddfour", "--max"], None, "usage error: option --max needs a value" + SCAN_USAGE),
+    "verify-main-no-f": (["verify-main"], None, "usage error: option --f is required; "
+                         "usage: chargraph verify-main --f <f> [--radical <radical>] [--format table|json]\n"),
 }
 
 
@@ -94,12 +124,20 @@ def test_scan_with_a_counterexample_exits_1(argv, monkeypatch):
     assert not lines[-1].endswith(" 0 counterexample(s)")
 
 
-@pytest.mark.parametrize("argv", [["factor", "١٢"], ["factor", "1_2"], ["classify-f", "٦"]],
-                         ids=["arabic-indic-digits", "underscore", "arabic-indic-f"])
-def test_integer_arguments_take_ascii_digits_only(argv):
+@pytest.mark.parametrize("argv", [
+    "factor --format json 12",
+    "factor 12 --format=json",
+    "factor --format json --format=json -- 12",
+])
+def test_options_come_before_or_after_the_arguments(argv):
+    assert run_cli(argv.split()) == (0, '{"factors":[[2,2],[3,1]],"n":12}\n', "")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["scan", "oddfour", "-h"]])
+def test_help_prints_every_usage_line_and_exits_0(argv):
     code, out, err = run_cli(argv)
-    assert (code, out) == (2, "")
-    assert f"invalid integer value: {argv[1]!r}" in err
+    assert (code, err) == (0, "")
+    assert [line.split()[:3] for line in out.splitlines()] == [["usage:", "chargraph", verb] for verb in cli.VERBS]
 
 
 @pytest.mark.parametrize("fmt,expected", [
@@ -186,7 +224,7 @@ VERBS = {
 
 
 def test_fuzz_covers_every_verb():
-    assert set(VERBS) == set(cli.build_parser()._subparsers._group_actions[0].choices)
+    assert set(VERBS) == set(cli.VERBS)
 
 
 @pytest.fixture(scope="module")
@@ -213,8 +251,7 @@ README = ROOT / "README.md"
 
 def test_readme_names_every_verb_and_bound():
     readme = README.read_text()
-    verbs = cli.build_parser()._subparsers._group_actions[0].choices
-    assert [verb for verb in verbs if f"`{verb}`" not in readme] == []
+    assert [verb for verb in cli.VERBS if f"`{verb}`" not in readme] == []
     bounds = {
         "F_MAX": classify.F_MAX,
         "Q_ODD_MAX": classify.Q_ODD_MAX,

@@ -54,14 +54,14 @@ CHEAP_ARGV = {
 
 
 def test_every_verb_is_called():
-    assert set(CHEAP_ARGV) == set(cli.build_parser()._subparsers._group_actions[0].choices)
+    assert set(CHEAP_ARGV) == set(cli.VERBS)
 
 
 @pytest.mark.parametrize("verb", sorted(CHEAP_ARGV))
 def test_each_verb_returns_its_result_and_writes_nothing(verb, tmp_path, capsys):
     path = tmp_path / "cd.json"
     path.write_text("[1, 6, 10]")
-    args = cli.build_parser().parse_args([a.replace("{file}", str(path)) for a in CHEAP_ARGV[verb]])
+    args = cli.parse_args([a.replace("{file}", str(path)) for a in CHEAP_ARGV[verb]])
     result = args.func(args)
     assert capsys.readouterr() == ("", "")
     assert isinstance(result, tuple) and len(result) == 3

@@ -212,13 +212,17 @@ class TestIntArguments:
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    # -S keeps site's .pth preloads out of sys.modules.
+    # -S keeps site's .pth preloads out of sys.modules.  Running a verb loads
+    # nothing more; gettext is absent, and every command-line parser of the
+    # standard library imports it (locale comes with it).
     code = (
-        "import sys; import chargraph.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+        "import sys; import chargraph.cli; loaded = set(sys.modules); "
+        "chargraph.cli.main(['factor', '12']); "
+        "print(sorted(set(sys.modules) - loaded), "
+        "sorted(m for m in ('dataclasses', 'inspect', 'typing', 'gettext', 'locale') if m in sys.modules))"
     )
     out = run_python("-S", "-c", code, capture_output=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout == "12 = 2^2 * 3\n[] []\n"
 
 
 # Each layer loads only itself and the layers below it.
