@@ -126,7 +126,7 @@ def cmd_classify_f(args) -> tuple[int, object, str]:
 
 
 def cmd_verify_main(args) -> tuple[int, object, str]:
-    radical = load_radical(args.radical) if args.radical else synthetic_radical(args.f)
+    radical = synthetic_radical(args.f) if args.radical is None else load_radical(args.radical)
     report = verify_main(args.f, radical)
     status = "verified" if report.verified else "FAILED"
     table = f"f = {report.f}: case {report.case}, {status}\n{graph_table(report.product_graph)}"

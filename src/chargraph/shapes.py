@@ -40,24 +40,22 @@ class Complement(Value):
     __slots__ = ("inner",)
 
 
-class Union(Value):
-    __slots__ = ("parts",)
+class _Parts(Value):
+    __slots__ = ()
 
     def __init__(self, parts: Iterable[GraphExpr]) -> None:
         parts = tuple(parts)
         if len(parts) < 2:
-            raise ValueError(f"a union needs two or more parts, got {len(parts)}")
+            raise ValueError(f"a {type(self).__name__.lower()} needs two or more parts, got {len(parts)}")
         object.__setattr__(self, "parts", parts)
 
 
-class Join(Value):
+class Union(_Parts):
     __slots__ = ("parts",)
 
-    def __init__(self, parts: Iterable[GraphExpr]) -> None:
-        parts = tuple(parts)
-        if len(parts) < 2:
-            raise ValueError(f"a join needs two or more parts, got {len(parts)}")
-        object.__setattr__(self, "parts", parts)
+
+class Join(_Parts):
+    __slots__ = ("parts",)
 
 
 GraphExpr = Complete | Cycle | Complement | Union | Join

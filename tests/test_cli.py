@@ -1,8 +1,10 @@
 """The command line: exit codes, the grammar and help, output errors, a fuzz
 of every verb and the README's examples.
 
-`EXIT_2` is the one test of the exit-2 rule: bad input exits 2 with empty
-stdout and one stderr line.  A new bad input gets a row there, not a test.
+`EXIT_2` is the one list of bad inputs, with a row for every verb, and the
+one test of the exit-2 rule: bad input exits 2 with empty stdout and one
+stderr line.  A new bad input gets a row there, not a test, and not a
+golden-corpus command.
 """
 import json
 import os
@@ -28,13 +30,15 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
 DEEP_JSON_ERROR = "error: JSON input is nested too deeply\n"
 FIRST_PRIMES = [p for p in range(2, 1000) if is_prime(p)]
 RADICAL = ["verify-main", "--f", "6", "--radical", "{file}"]
+NO_SUCH_FILE = "input error: [Errno 2] No such file or directory: "
 FACTOR_USAGE = "; usage: chargraph factor <n> [--format table|json]\n"
 SCAN_USAGE = "; usage: chargraph scan interest|evenfive|oddfour [--max <max>] [--format table|json]\n"
 VERB_USAGE = ("; usage: chargraph factor|pi|zsigmondy|psl2-graph|parse-shape|iso|classify-f|verify-main|scan|"
               "check-solvable ...\n")
 
 # id -> (argv, text of the file that "{file}" names or None, the start of
-# stderr); an expected text that ends in "\n" is the whole line.
+# stderr); an expected text that ends in "\n" is the whole line.  "{missing}"
+# names a file that does not exist.
 EXIT_2 = {
     "vertices-not-a-list": (["iso", '{"vertices": 5, "edges": []}', "K1"], None, "error: "),
     "float-vertex": (["iso", '{"vertices": [2.0], "edges": []}', "K1"], None, "error: "),
@@ -96,6 +100,49 @@ EXIT_2 = {
     "scan-max-no-value": (["scan", "oddfour", "--max"], None, "usage error: option --max needs a value" + SCAN_USAGE),
     "verify-main-no-f": (["verify-main"], None, "usage error: option --f is required; "
                          "usage: chargraph verify-main --f <f> [--radical <radical>] [--format table|json]\n"),
+    "factor-0": (["factor", "0"], None, "error: n must be >= 1, got 0\n"),
+    "factor-2-to-the-64": (["factor", str(2**64)], None,
+                           "error: 18446744073709551616 exceeds the supported 64-bit range\n"),
+    "factor-abc": (["factor", "abc"], None, "usage error: argument n: invalid integer value: 'abc'" + FACTOR_USAGE),
+    "pi-0": (["pi", "0"], None, "error: n must be >= 1, got 0\n"),
+    "zsigmondy-base-1": (["zsigmondy", "1", "3"], None, "error: base must be >= 2, got 1\n"),
+    "zsigmondy-n-0": (["zsigmondy", "2", "0"], None, "error: n must be >= 1, got 0\n"),
+    "psl2-graph-6": (["psl2-graph", "6"], None, "error: q = 6 is not a prime power\n"),
+    "psl2-graph-3": (["psl2-graph", "3"], None, "error: q must be >= 4, got 3\n"),
+    "psl2-graph-2-to-the-64": (["psl2-graph", str(2**64)], None,
+                               "error: 18446744073709551616 exceeds the supported 64-bit range\n"),
+    "parse-shape-trailing-operator": (["parse-shape", "K3 +"], None,
+                                      "syntax error: unexpected end of input (at position 4)\n"),
+    "parse-shape-empty": (["parse-shape", ""], None, "syntax error: unexpected end of input (at position 0)\n"),
+    "parse-shape-lone-C2": (["parse-shape", "C2"], None, "syntax error: C2: n must be >= 3, got 2 (at position 1)\n"),
+    "iso-syntax-error": (["iso", "K3 +", "K1"], None, "syntax error: unexpected end of input (at position 4)\n"),
+    "iso-K13": (["iso", "K13", "K13"], None, "error: graph has 13 vertices; exhaustive search is bounded at 12\n"),
+    "iso-nonprime-vertex": (["iso", "{file}", "K1"], '{"vertices": [4], "edges": []}',
+                            "error: vertex 4 is not prime\n"),
+    "classify-f-1": (["classify-f", "1"], None, "error: f must be in [2, 63], got 1\n"),
+    "classify-f-64": (["classify-f", "64"], None, "error: f must be in [2, 63], got 64\n"),
+    "verify-main-f-4": (["verify-main", "--f", "4"], None, "error: f = 4 has sizes (2, 1); no case applies\n"),
+    "verify-main-f-64": (["verify-main", "--f", "64"], None, "error: f must be in [2, 63], got 64\n"),
+    "radical-reuses-socle-primes": (["verify-main", "--f", "2", "--radical", "{file}"], "[[1, 3, 11]]",
+                                    "invalid radical: case I needs exactly 2 radical factor(s), got 1; "
+                                    "factor 0 reuses socle primes [3]\n"),
+    "radical-count": (RADICAL, "[[1, 11, 17], [1, 19, 23]]",
+                      "invalid radical: case II needs exactly 1 radical factor(s), got 2\n"),
+    "radical-not-abelian": (["verify-main", "--f", "14", "--radical", "{file}"], "[[1, 7, 11]]",
+                            "invalid radical: case III radical must be abelian; factor 0 has primes [7, 11]\n"),
+    "radical-not-a-list": (RADICAL, '{"degrees": [1, 11, 17]}',
+                           "error: radical file must hold a JSON list of degree sets\n"),
+    "radical-missing-file": (["verify-main", "--f", "6", "--radical", "{missing}"], None, NO_SUCH_FILE),
+    # An empty path is a path, not "no radical".
+    "radical-empty-path": (["verify-main", "--f", "6", "--radical="], None, NO_SUCH_FILE + "''\n"),
+    "scan-evenfive-max-1": (["scan", "evenfive", "--max", "1"], None, "error: f_max must be in [2, 63], got 1\n"),
+    "scan-oddfour-max-100001": (["scan", "oddfour", "--max", "100001"], None,
+                                "error: q_max must be in [3, 100000], got 100001\n"),
+    "degree-set-without-1": (["check-solvable", "{file}"], '{"degrees": [2, 3]}',
+                             "error: a degree set must contain 1\n"),
+    "degree-set-without-degrees-key": (["check-solvable", "{file}"], '{"sizes": [1]}',
+                                       'error: a degree set must be a JSON list or an object with a "degrees" list\n'),
+    "check-solvable-missing-file": (["check-solvable", "{missing}"], None, NO_SUCH_FILE),
 }
 
 
@@ -104,9 +151,14 @@ def test_bad_input_exits_2_with_one_line(row, tmp_path):
     argv, text, expected = EXIT_2[row]
     path = tmp_path / "input.json"
     path.write_text(text or "")
-    code, out, err = run_cli([a.replace("{file}", str(path)) for a in argv])
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli([a.replace("{file}", str(path)).replace("{missing}", str(missing)) for a in argv])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith(expected)
+
+
+def test_every_verb_has_a_bad_input_row():
+    assert set(cli.VERBS) <= {argv[0] for argv, _, _ in EXIT_2.values() if argv}
 
 
 @pytest.mark.parametrize("argv", [
