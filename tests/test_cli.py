@@ -146,8 +146,8 @@ EXIT_2 = {
 }
 
 
-@pytest.mark.parametrize("row", EXIT_2)
-def test_bad_input_exits_2_with_one_line(row, tmp_path):
+def check_exit_2(row: str, tmp_path: Path) -> None:
+    """Run EXIT_2[row] in tmp_path: exit 2, empty stdout and its one stderr line."""
     argv, text, expected = EXIT_2[row]
     path = tmp_path / "input.json"
     path.write_text(text or "")
@@ -155,6 +155,11 @@ def test_bad_input_exits_2_with_one_line(row, tmp_path):
     code, out, err = run_cli([a.replace("{file}", str(path)).replace("{missing}", str(missing)) for a in argv])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith(expected)
+
+
+@pytest.mark.parametrize("row", EXIT_2)
+def test_bad_input_exits_2_with_one_line(row, tmp_path):
+    check_exit_2(row, tmp_path)
 
 
 def test_every_verb_has_a_bad_input_row():

@@ -3,7 +3,8 @@ and an empty stderr.
 
 Every verb runs in process through ``conftest.run_cli`` in each of its
 output formats.  The corpus holds only commands that exit 0 or 1; a bad
-input is a row of ``test_cli.EXIT_2``.  The expected results live in
+input is a row of ``test_cli.EXIT_2``; the nine of ``EXIT_2_IDS`` also keep
+an id here and run as their row.  The expected results live in
 ``golden/cli.json``; after an intended change of output, rewrite it with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CASE_FS, run_cli
+from test_cli import check_exit_2
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = GOLDEN / "cli.json"
@@ -82,8 +84,28 @@ def corpus() -> dict:
     return json.loads(CORPUS.read_text())
 
 
-@pytest.mark.parametrize("argv", commands(), ids=" ".join)
-def test_cli_golden(argv, corpus):
+# Bad inputs that keep an id of this test: id -> their test_cli.EXIT_2 row,
+# which holds the same argv and input and pins the stderr line.
+EXIT_2_IDS = {
+    "(no arguments)": "no-arguments",
+    "check-solvable {inputs}/not_json.json": "bad-json-file",
+    "factor -5": "factor-minus-5",
+    "factor 12 --format dot": "factor-format-dot",
+    "frobnicate": "unknown-verb",
+    "scan interest --max 64": "scan-interest-max-64",
+    "scan nothing": "scan-unknown-name",
+    "scan oddfour --max 2": "scan-oddfour-max-2",
+    "zsigmondy 2 65": "zsigmondy-2-65",
+}
+CASES = ([pytest.param(argv, None, id=" ".join(argv)) for argv in commands()]
+         + [pytest.param(None, row, id=name) for name, row in EXIT_2_IDS.items()])
+
+
+@pytest.mark.parametrize("argv,row", CASES)
+def test_cli_golden(argv, row, corpus, tmp_path):
+    if row is not None:
+        check_exit_2(row, tmp_path)
+        return
     expected = corpus[key(argv)]
     assert run(argv) == (expected["exit"], "\n".join(expected["stdout"]), "")
 
