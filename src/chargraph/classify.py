@@ -25,30 +25,32 @@ from .graphs import (
     is_kn_free,
     join,
 )
-from .shapes import GraphExpr, eval_shape, parse_shape, render_shape
+from .shapes import eval_shape, parse_shape
 
 F_MAX = 63
 Q_ODD_MAX = 100_000
 
-# (|pi(2^f - 1)|, |pi(2^f + 1)|) -> (case, expected shape, required radical,
-# number of radical factors).  A case with n > 0 factors needs exactly n,
-# each contributing two fresh primes and no edge; with 0 the radical is
-# abelian and any number of prime-free factors fits.
+# (|pi(2^f - 1)|, |pi(2^f + 1)|) -> (case, expected shape as render_shape
+# prints it, required radical, number of radical factors).  A case with
+# n > 0 factors needs exactly n, each contributing two fresh primes and no
+# edge; with 0 the radical is abelian and any number of prime-free factors
+# fits.
 CASES = {
     (1, 1): ("I", "K3^c * C4",
              "two degree-set factors, each contributing two fresh primes and no edge", 2),
-    (2, 2): ("II", "(K2 + K1 + K2) * K2^c",
+    (2, 2): ("II", "K2 + K1 + K2 * K2^c",
              "one degree-set factor contributing two fresh primes and no edge", 1),
     (3, 3): ("III", "K3 + K1 + K3", "abelian (contributes no primes)", 0),
 }
 _NO_CASE = (None, None, "none (prime-divisor counts match no case)", 0)
 
 
-# Each case's expected graph, built once: the AST key is hashable, the graph
-# immutable.  A body, not cache(eval_shape), so eval_shape is read at call time.
+# Each case's expected graph, parsed and built once per shape string; the
+# graph is immutable.  A body, not a cached eval_shape, so eval_shape is read
+# at call time.
 @cache
-def _expected_graph(expr: GraphExpr) -> CharGraph:
-    return eval_shape(expr)
+def _expected_graph(shape: str) -> CharGraph:
+    return eval_shape(parse_shape(shape))
 
 
 class RadicalValidationError(ValueError):
@@ -65,8 +67,9 @@ class CaseReport(Value):
     Fields, in order: f; sizes, the counts (|pi(2^f - 1)|, |pi(2^f + 1)|);
     case, "I", "II", "III" or None; socle_graph, the graph of PSL2(2^f);
     required_radical, the radical model the case needs, in words;
-    expected_shape, the case's shape AST or None; verified, verify_main's
-    verdict or None; product_graph, the graph verify_main built or None.
+    expected_shape, the case's shape as render_shape prints it, or None;
+    verified, verify_main's verdict or None; product_graph, the graph
+    verify_main built or None.
     """
 
     __slots__ = ("f", "sizes", "case", "socle_graph", "required_radical", "expected_shape",
@@ -79,7 +82,7 @@ class CaseReport(Value):
             "case": self.case,
             "socle_graph": self.socle_graph.to_json(),
             "required_radical": self.required_radical,
-            "expected_shape": render_shape(self.expected_shape) if self.expected_shape else None,
+            "expected_shape": self.expected_shape,
             "verified": self.verified,
             "product_graph": self.product_graph.to_json() if self.product_graph else None,
         }
@@ -107,7 +110,7 @@ def _classify(f: int) -> CaseReport:
         sum((q + 1) % p == 0 for p in socle.vertices),
     )
     case, shape, note, _ = CASES.get(sizes, _NO_CASE)
-    return CaseReport(f, sizes, case, socle, note, parse_shape(shape) if shape else None, None, None)
+    return CaseReport(f, sizes, case, socle, note, shape, None, None)
 
 
 def _case_factor_count(report: CaseReport) -> int:

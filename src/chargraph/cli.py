@@ -58,7 +58,7 @@ def parse_json(text: str):
 
 
 def read_json(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_json(fh.read())
 
 
@@ -121,7 +121,7 @@ def cmd_classify_f(args) -> tuple[int, object, str]:
     lines = [f"f = {report.f}: sizes {report.sizes}, case {report.case or 'None'}",
              f"radical: {report.required_radical}"]
     if report.expected_shape:
-        lines.append(f"expected shape: {render_shape(report.expected_shape)}")
+        lines.append(f"expected shape: {report.expected_shape}")
     return 0, report, "\n".join(lines)
 
 

@@ -115,7 +115,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() reads, sys.get_int_max_str_digits()
+            raise ShapeSyntaxError(f"a size of {self.pos - start} digits is too long", start) from None
 
     def parse_expr(self, level: int = 0) -> GraphExpr:
         # The last level calls parse_factor itself: four frames per parenthesis.

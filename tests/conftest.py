@@ -31,7 +31,7 @@ CASE_FS = {"I": (2, 3), "II": (6, 9, 11, 23), "III": (14, 15, 21, 27, 29, 47, 53
 # Rows [f, factors of 2^f - 1, factors of 2^f + 1] for f = 2..63, each a
 # list of [prime, exponent]; frozen from sympy.factorint
 # (tests/test_classify.py checks the table itself).
-FACTOR_TABLE = json.loads((Path(__file__).parent / "golden" / "mersenne_factors.json").read_text())
+FACTOR_TABLE = json.loads((Path(__file__).parent / "golden" / "mersenne_factors.json").read_text(encoding="utf-8"))
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -45,7 +45,7 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
 def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
     """Run sys.executable with args on this checkout's src/; kwargs go to subprocess.run."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    return subprocess.run([sys.executable, *args], text=True, env=env, **kwargs)
+    return subprocess.run([sys.executable, *args], encoding="utf-8", env=env, **kwargs)
 
 
 @st.composite

@@ -318,25 +318,17 @@ class TestFactorizationType:
         factors.append((5, 1))  # the caller's list is not the stored value
         assert fac == factorize(12)
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
-            Factorization(0, ())
-
     def test_rejects_bad_product(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^factors reconstruct 6, expected 10$"):
             Factorization(10, ((2, 1), (3, 1)))
 
     def test_rejects_unsorted_primes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^factor primes must be strictly increasing$"):
             Factorization(15, ((5, 1), (3, 1)))
 
     def test_rejects_composite_entry(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^4 is not prime$"):
             Factorization(4, ((4, 1),))
-
-    def test_rejects_zero_exponent(self):
-        with pytest.raises(ValueError):
-            Factorization(3, ((3, 0),))
 
 
 class TestIntArguments:
@@ -491,9 +483,3 @@ class TestZsigmondy:
         assert zsigmondy(2, 64) == 641
         assert zsigmondy(2**32, 2) == 641
         assert zsigmondy(2**64, 1) == 3
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            zsigmondy(1, 3)
-        with pytest.raises(ValueError):
-            zsigmondy(2, 0)

@@ -17,7 +17,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 def assigned(path: Path, name: str):
     """The literal value of the module-level assignment to name in path."""
-    for node in ast.parse(path.read_text()).body:
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
             return ast.literal_eval(node.value)
     raise AssertionError(f"no assignment to {name} in {path}")

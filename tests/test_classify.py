@@ -22,7 +22,7 @@ from chargraph.classify import (
 )
 from chargraph.degrees import graph_psl2
 from chargraph.graphs import CharGraph, DegreeSet
-from chargraph.shapes import eval_shape
+from chargraph.shapes import eval_shape, parse_shape, render_shape
 from conftest import CASE_FS, FACTOR_TABLE, PRIMES, char_graphs
 from oracles import divisors, smallest_prime_factors, trial_is_prime, zsigmondy_bounds
 
@@ -100,8 +100,33 @@ def test_verify_main_evaluates_each_expected_shape_once(monkeypatch):
     assert (len(runs), len(calls)) == (3, 3)
 
 
+def test_each_case_shape_is_parsed_once():
+    # A report holds its case's shape as the text render_shape prints, so
+    # classify_f parses nothing; verify_main parses each of the three
+    # shapes once, when it first builds that shape's graph.
+    runs = []
+
+    def count_parse_shape(frame, event, arg):
+        if event == "call" and frame.f_code is parse_shape.__code__:
+            runs.append(frame)
+
+    classify._classify.cache_clear()
+    classify._expected_graph.cache_clear()
+    sys.setprofile(count_parse_shape)
+    try:
+        reports = [classify_f(f) for f in range(2, F_MAX + 1)]
+        for f in (f for fs in CASE_FS.values() for f in fs):
+            assert verify_main(f, synthetic_radical(f)).verified is True
+    finally:
+        sys.setprofile(None)
+    assert len(runs) == 3
+    shapes = {r.expected_shape for r in reports} - {None}
+    assert shapes == {shape for _, shape, _, _ in classify.CASES.values()}
+    assert all(render_shape(parse_shape(shape)) == shape for shape in shapes)
+
+
 def test_verify_main_rejects_f_without_a_case():
-    with pytest.raises(ValueError, match="no case applies"):
+    with pytest.raises(ValueError, match=r"^f = 4 has sizes \(2, 1\); no case applies$"):
         verify_main(4, [])
 
 

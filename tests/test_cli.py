@@ -115,6 +115,9 @@ EXIT_2 = {
                                       "syntax error: unexpected end of input (at position 4)\n"),
     "parse-shape-empty": (["parse-shape", ""], None, "syntax error: unexpected end of input (at position 0)\n"),
     "parse-shape-lone-C2": (["parse-shape", "C2"], None, "syntax error: C2: n must be >= 3, got 2 (at position 1)\n"),
+    # More digits than int() reads by default (4,300).
+    "parse-shape-long-size": (["parse-shape", "K" + "1" * 5000], None,
+                              "syntax error: a size of 5000 digits is too long (at position 1)\n"),
     "iso-syntax-error": (["iso", "K3 +", "K1"], None, "syntax error: unexpected end of input (at position 4)\n"),
     "iso-K13": (["iso", "K13", "K13"], None, "error: graph has 13 vertices; exhaustive search is bounded at 12\n"),
     "iso-nonprime-vertex": (["iso", "{file}", "K1"], '{"vertices": [4], "edges": []}',
@@ -150,7 +153,7 @@ def check_exit_2(row: str, tmp_path: Path) -> None:
     """Run EXIT_2[row] in tmp_path: exit 2, empty stdout and its one stderr line."""
     argv, text, expected = EXIT_2[row]
     path = tmp_path / "input.json"
-    path.write_text(text or "")
+    path.write_text(text or "", encoding="utf-8")
     missing = tmp_path / "missing.json"
     code, out, err = run_cli([a.replace("{file}", str(path)).replace("{missing}", str(missing)) for a in argv])
     assert (code, out) == (2, "")
@@ -218,7 +221,7 @@ def test_join_of_many_empty_parts_is_fast():
 # subprocess, since main points the stdout descriptor at devnull.
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_a_full_stdout_exits_2_with_one_output_error_line():
-    with open("/dev/full", "w") as full:
+    with open("/dev/full", "w", encoding="utf-8") as full:
         out = run_python("-m", "chargraph.cli", "classify-f", "63", "--format", "json",
                          stdout=full, stderr=subprocess.PIPE, timeout=30)
     assert out.returncode == 2
@@ -295,7 +298,7 @@ def test_fuzzed_argv_exits_0_1_or_2(verb, scratch_file):
     @given(VERBS[verb])
     def run(case):
         argv, data = case
-        scratch_file.write_text(json.dumps(data))
+        scratch_file.write_text(json.dumps(data), encoding="utf-8")
         code, _, _ = run_cli([a.replace("{file}", str(scratch_file)) for a in argv])
         assert code in (0, 1, 2)
 
@@ -307,7 +310,7 @@ README = ROOT / "README.md"
 
 
 def test_readme_names_every_verb_and_bound():
-    readme = README.read_text()
+    readme = README.read_text(encoding="utf-8")
     assert [verb for verb in cli.VERBS if f"`{verb}`" not in readme] == []
     bounds = {
         "F_MAX": classify.F_MAX,
@@ -320,14 +323,14 @@ def test_readme_names_every_verb_and_bound():
 
 
 def test_readme_proof_section_names_existing_tests():
-    readme = README.read_text()
+    readme = README.read_text(encoding="utf-8")
     section = readme.split("## What is proved beyond the scan bounds\n", 1)[1].split("\n## ", 1)[0]
     lines = section.replace("\n  ", " ").splitlines()
     for lemma in ("interest", "evenfive", "oddfour"):
         assert any(line.startswith(f"- `{lemma}`: `tests/") for line in lines), lemma
     named = re.findall(r"`tests/(\w+\.py)::(\w+)`", section)
     assert len(named) == 4
-    missing = [name for file, name in named if f"\ndef {name}(" not in (ROOT / "tests" / file).read_text()]
+    missing = [name for file, name in named if f"\ndef {name}(" not in (ROOT / "tests" / file).read_text(encoding="utf-8")]
     assert missing == []
 
 
@@ -348,7 +351,7 @@ README_EXAMPLES = [
 @pytest.mark.parametrize("verb,example,shown,where", README_EXAMPLES,
                          ids=[example for _, example, _, _ in README_EXAMPLES])
 def test_readme_example_prints_what_the_table_shows(verb, example, shown, where):
-    [row] = [line for line in README.read_text().splitlines() if line.startswith(f"| `{verb}` |")]
+    [row] = [line for line in README.read_text(encoding="utf-8").splitlines() if line.startswith(f"| `{verb}` |")]
     # The row names zsigmondy's second example in its Prints column.
     named = "`none` for 2^6 − 1" if example == "zsigmondy 2 6" else f"`chargraph {example}`"
     assert named in row and f"`{shown}`" in row
@@ -363,7 +366,7 @@ def test_readme_states_the_scan_defaults():
     assert first == second
     sentence = (f"`scan` takes `{a}`, `{b}` or `{c}`; `--max` defaults to {first:,} "
                 f"for the first two and {last:,} for `{c}`.")
-    assert sentence in " ".join(README.read_text().split())
+    assert sentence in " ".join(README.read_text(encoding="utf-8").split())
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -81,7 +81,7 @@ def key(argv: list[str]) -> str:
 
 @pytest.fixture(scope="module")
 def corpus() -> dict:
-    return json.loads(CORPUS.read_text())
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
 
 
 # Bad inputs that keep an id of this test: id -> their test_cli.EXIT_2 row,
@@ -120,7 +120,7 @@ def regenerate() -> None:
     for argv in commands():
         code, out, _ = run(argv)
         corpus[key(argv)] = {"exit": code, "stdout": out.split("\n")}
-    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
+    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

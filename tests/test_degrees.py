@@ -60,7 +60,8 @@ def test_cd_psl2_degrees_square_sum_to_the_group_order():
 
 @pytest.mark.parametrize("q", [1, 2, 3, 6, 12, 100])
 def test_cd_psl2_rejects_non_prime_powers_below_four(q):
-    with pytest.raises(ValueError):
+    message = f"q must be >= 4, got {q}" if q < 4 else f"q = {q} is not a prime power"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         cd_psl2(q)
 
 

@@ -45,7 +45,7 @@ def induced(g, part):
 
 class TestCharGraphType:
     def test_rejects_nonprime_vertex(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^vertex 4 is not prime$"):
             CharGraph([4])
 
     @pytest.mark.parametrize("edge", [(2, 3.0), (2.0, 3)])
@@ -56,11 +56,11 @@ class TestCharGraphType:
             CharGraph([2, 3], [edge])
 
     def test_rejects_unknown_endpoint(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(2, 5\) has an endpoint outside the vertex set$"):
             CharGraph([2, 3], [(2, 5)])
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^self-loop at 2$"):
             CharGraph([2, 3], [(2, 2)])
 
     def test_normalizes_edges(self):
@@ -85,7 +85,7 @@ class TestCharGraphType:
 
 class TestDegreeSet:
     def test_requires_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a degree set must contain 1$"):
             DegreeSet([2, 3])
 
     def test_rejects_nonpositive(self):
@@ -195,7 +195,7 @@ class TestDisjointUnion:
         assert g.edge_count == 0
 
     def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex sets overlap: \[2\]$"):
             disjoint_union(edgeless([2]), edgeless([2]))
 
     def test_n_ary_equals_nested_binary(self):
@@ -253,7 +253,7 @@ class TestKnFree:
 
     def test_rejects_oversized_graph(self):
         labels = [p for p in PRIMES] + [41]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^graph has 13 vertices; exhaustive search is bounded at 12$"):
             is_kn_free(edgeless(labels), 4)
 
     @given(char_graphs(), st.sets(st.sampled_from(PRIMES)), st.integers(2, 4))
@@ -298,7 +298,7 @@ class TestIsomorphism:
 
     def test_rejects_oversized(self):
         labels = [p for p in PRIMES] + [41]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^graph has 13 vertices; exhaustive search is bounded at 12$"):
             are_isomorphic(edgeless(labels), edgeless(labels))
 
 

@@ -27,7 +27,7 @@ def prints(tree: ast.Module) -> list[tuple[str, bool]]:
     return out
 
 
-CALLS = {path.name: prints(ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))}
+CALLS = {path.name: prints(ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def test_the_only_stdout_print_is_in_cli_main():
@@ -60,7 +60,7 @@ def test_every_verb_is_called():
 @pytest.mark.parametrize("verb", sorted(CHEAP_ARGV))
 def test_each_verb_returns_its_result_and_writes_nothing(verb, tmp_path, capsys):
     path = tmp_path / "cd.json"
-    path.write_text("[1, 6, 10]")
+    path.write_text("[1, 6, 10]", encoding="utf-8")
     args = cli.parse_args([a.replace("{file}", str(path)) for a in CHEAP_ARGV[verb]])
     result = args.func(args)
     assert capsys.readouterr() == ("", "")

@@ -69,6 +69,13 @@ class TestParse:
         assert err.value.position == 1
         assert str(err.value) == "expected an integer (at position 1)"
 
+    def test_size_longer_than_int_reads_is_a_syntax_error(self):
+        # int() refuses more than sys.get_int_max_str_digits() digits (4,300 by default).
+        with pytest.raises(ShapeSyntaxError) as err:
+            parse_shape("K" + "1" * 5000)
+        assert err.value.position == 1
+        assert str(err.value) == "a size of 5000 digits is too long (at position 1)"
+
     def test_small_cycle_rejected_with_position(self):
         # The position is the size's first digit, past any blanks after the letter.
         for text, position in [("C2", 1), ("K2 + C2", 6), ("C 2", 2), ("K2 + C  2", 8)]:

@@ -38,9 +38,9 @@ VALUES = {
     "Union": (lambda: Union((Complete(1), Cycle(3))), "Union(parts=(Complete(n=1), Cycle(n=3)))"),
     "Join": (lambda: Join((Complete(1), Complete(2))), "Join(parts=(Complete(n=1), Complete(n=2)))"),
     "CaseReport": (
-        lambda: CaseReport(3, (1, 1), "I", CharGraph([2, 7, 3], []), "note", Complete(1), None, None),
+        lambda: CaseReport(3, (1, 1), "I", CharGraph([2, 7, 3], []), "note", "K1", None, None),
         "CaseReport(f=3, sizes=(1, 1), case='I', socle_graph=CharGraph(vertices=[2, 3, 7], "
-        "edges=[]), required_radical='note', expected_shape=Complete(n=1), verified=None, "
+        "edges=[]), required_radical='note', expected_shape='K1', verified=None, "
         "product_graph=None)",
     ),
     "ScanHit": (lambda: ScanHit(6, "ok", "f = 6", (("f", 6), ("sizes", (2, 2)))),
@@ -105,7 +105,7 @@ def test_equal_values_hash_equal(name):
     (DegreeSet([1, 2]), DegreeSet([1, 3])),
     (CharGraph([2, 3, 7], [(2, 3)]), CharGraph([2, 3, 7], [(2, 7)])),
     (ScanHit(6, "ok", "f = 6", (("f", 6),)), ScanHit(6, None, "f = 6", (("f", 6),))),
-    (VALUES["CaseReport"][0](), CaseReport(3, (1, 1), "I", CharGraph([2, 3, 7]), "note", Complete(1), True, None)),
+    (VALUES["CaseReport"][0](), CaseReport(3, (1, 1), "I", CharGraph([2, 3, 7]), "note", "K1", True, None)),
 ])
 def test_unequal_across_types_and_fields(a, b):
     assert a != b and b != a
