@@ -7,8 +7,9 @@ record that checks or normalises its arguments writes its own ``__init__``
 and sets each field with ``object.__setattr__``.  Two values are equal when
 they have the same type and equal fields; the hash is over the fields;
 assigning or deleting a field raises AttributeError; the repr reads
-``Name(field=...)``.  Copying and pickling call the class again with the
-fields, positionally.
+``Name(field=...)``; to_json() is the JSON object of the fields by slot
+name, with a record field as its own to_json() and a tuple as a list.
+Copying and pickling call the class again with the fields, positionally.
 
 check_int is the one rule for the library's integer arguments, and so for
 the integers read from JSON, which from_json hands to the constructors.
@@ -59,3 +60,15 @@ class Value:
 
     def __reduce__(self) -> tuple:
         return type(self), self._field_values()
+
+    def to_json(self) -> dict:
+        return {name: _json(getattr(self, name)) for name in self.__slots__}
+
+
+def _json(value: object) -> object:
+    """value as JSON data: a record as its to_json(), a tuple as a list, recursively."""
+    if isinstance(value, Value):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return value

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import islice
 
-from ._value import Value, check_int
+from ._value import Value, _json, check_int
 from .arith import factorize, is_prime, prime_divisors, primes
 from .degrees import graph_psl2, prime_power
 from .graphs import (
@@ -54,11 +54,7 @@ def _expected_graph(shape: str) -> CharGraph:
 
 
 class RadicalValidationError(ValueError):
-    """A radical model does not fit the case; carries all failures found."""
-
-    def __init__(self, failures: list[str]) -> None:
-        super().__init__("; ".join(failures))
-        self.failures = list(failures)
+    """A radical model does not fit the case; the message joins every failure found with "; "."""
 
 
 class CaseReport(Value):
@@ -74,18 +70,6 @@ class CaseReport(Value):
 
     __slots__ = ("f", "sizes", "case", "socle_graph", "required_radical", "expected_shape",
                  "verified", "product_graph")
-
-    def to_json(self) -> dict:
-        return {
-            "f": self.f,
-            "sizes": list(self.sizes),
-            "case": self.case,
-            "socle_graph": self.socle_graph.to_json(),
-            "required_radical": self.required_radical,
-            "expected_shape": self.expected_shape,
-            "verified": self.verified,
-            "product_graph": self.product_graph.to_json() if self.product_graph else None,
-        }
 
 
 def classify_f(f: int) -> CaseReport:
@@ -164,7 +148,7 @@ def verify_main(f: int, radical: list[DegreeSet]) -> CaseReport:
     graphs = [graph_from_cd(factor) for factor in radical]
     failures = _validate_radical(report.case, count, set(report.socle_graph.vertices), graphs)
     if failures:
-        raise RadicalValidationError(failures)
+        raise RadicalValidationError("; ".join(failures))
     delta = join(report.socle_graph, *graphs)
     expected = _expected_graph(report.expected_shape)
     ok = (
@@ -201,7 +185,7 @@ class ScanHit(Value):
     __slots__ = ("key", "clause", "detail", "fields")
 
     def to_json(self) -> dict:
-        return {name: list(v) if isinstance(v, tuple) else v for name, v in self.fields}
+        return {name: _json(v) for name, v in self.fields}
 
 
 def scan_lemma_interest(f_max: int) -> list[ScanHit]:

@@ -82,7 +82,7 @@ def load_radical(path: str) -> list[DegreeSet]:
 def cmd_factor(args) -> tuple[int, object, str]:
     fac = factorize(args.n)
     body = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in fac.factors) or "1"
-    return 0, {"n": fac.n, "factors": [list(p) for p in fac.factors]}, f"{fac.n} = {body}"
+    return 0, fac, f"{fac.n} = {body}"
 
 
 def cmd_pi(args) -> tuple[int, object, str]:

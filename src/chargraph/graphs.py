@@ -78,12 +78,6 @@ class CharGraph(Value):
     def __repr__(self) -> str:
         return f"CharGraph(vertices={list(self.vertices)}, edges={[list(e) for e in self.edges]})"
 
-    def to_json(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": [list(e) for e in self.edges],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "CharGraph":
         """A graph as {"vertices": [...], "edges": [[a, b], ...]}; the constructor checks the values."""

@@ -210,7 +210,9 @@ def eval_shape(expr: GraphExpr) -> CharGraph:
     """
     n = _leaf_vertices(expr)
     if n > MAX_VERTICES:
-        raise ValueError(f"shape has {n} vertices; at most {MAX_VERTICES} are supported")
+        # A count of thousands of digits is too long for one line, or for str() at all.
+        count = n if n < 2**64 else "2^64 or more"
+        raise ValueError(f"shape has {count} vertices; at most {MAX_VERTICES} are supported")
     return _eval(expr, primes())
 
 

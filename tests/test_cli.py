@@ -61,6 +61,11 @@ EXIT_2 = {
     "iso-first-deep": (["iso", DEEP, "K1"], None, DEEP_PREFIX),
     "iso-second-deep": (["iso", "K1", DEEP], None, DEEP_PREFIX),
     "parse-shape-over-cap": (["parse-shape", "K128 + C129"], None, "error: shape has 257 vertices"),
+    # Counts past 2^64 are not printed: the sum of two 4,300-digit sizes has
+    # more digits than str() writes, and one such size is a 4,300-byte line.
+    **{f"parse-shape-over-cap-{name}": (["parse-shape", text], None,
+                                        "error: shape has 2^64 or more vertices; at most 256 are supported\n")
+       for name, text in (("4300-digits", "K" + "9" * 4300), ("4301-digit-sum", " + ".join(["K" + "9" * 4300] * 2)))},
     "parse-shape-C2": (["parse-shape", "K2 + C2"], None, "syntax error: C2: n must be >= 3, got 2 (at position 6)\n"),
     "deep-json-check-solvable": (["check-solvable", "{file}"], DEEP_JSON, DEEP_JSON_ERROR),
     "deep-json-radical": (RADICAL, DEEP_JSON, DEEP_JSON_ERROR),

@@ -1,10 +1,11 @@
 """Value semantics of the ten immutable records (equality by type and
-fields, hashing, read-only fields, the repr, copy and pickle), the rule for
-integer arguments, and the modules that importing the CLI and each layer
-loads.
+fields, hashing, read-only fields, the repr, copy, pickle and JSON), the
+rule for integer arguments, and the modules that importing the CLI and each
+layer loads.
 """
 
 import copy
+import json
 import pickle
 import re
 
@@ -93,6 +94,16 @@ def test_equal_values_hash_equal(name):
     make = VALUES[name][0]
     assert hash(make()) == hash(make())
     assert len({make(), make()}) == 1
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_to_json_is_the_json_of_the_fields(name):
+    # A tuple left in, or a record left unconverted, would not survive JSON.
+    value = VALUES[name][0]()
+    data = value.to_json()
+    assert json.loads(json.dumps(data)) == data
+    names = [key for key, _ in value.fields] if isinstance(value, ScanHit) else list(type(value).__slots__)
+    assert list(data) == names
 
 
 @pytest.mark.parametrize("a,b", [
