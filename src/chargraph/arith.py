@@ -9,6 +9,11 @@ Each rule is stated once, where it runs: _cyclotomic_pieces splits 2^k -+ 1
 as the Cunningham tables do (Brillhart et al., "Factorizations of
 b^n +- 1"), _factor_into trial-divides a piece by Bang's rule (1886), and
 is_prime tests Sinclair's witness set.
+
+Each prime of a factorize result is proved by is_prime once.  A prime found
+by trial division, by Bang's gcd or by the c^2 bound is proved by the
+Factorization constructor; a cofactor that _factor_into proves with is_prime
+is not tested again.
 """
 
 from __future__ import annotations
@@ -118,11 +123,26 @@ class Factorization(Value):
     increasing primes; their product reconstructs ``n``.  Any iterable of
     pairs is accepted and stored as that tuple, so a Factorization built
     from lists equals and hashes like the one factorize returns.
+
+    The constructor proves each prime with is_prime.  factorize builds
+    through _proved, which makes every other check but skips the primes
+    that _factor_into has just proved with is_prime; both end in _build.
     """
 
     __slots__ = ("n", "factors")
 
     def __init__(self, n: int, factors: Iterable[tuple[int, int]]) -> None:
+        self._build(n, factors, ())
+
+    @classmethod
+    def _proved(cls, n: int, factors: Iterable[tuple[int, int]], proved: tuple[int, ...]) -> "Factorization":
+        """The constructor of factorize: every check of __init__, but no
+        Miller-Rabin run on the primes in proved, which is_prime has proved."""
+        fac = cls.__new__(cls)
+        fac._build(n, factors, proved)
+        return fac
+
+    def _build(self, n: int, factors: Iterable[tuple[int, int]], proved: tuple[int, ...]) -> None:
         check_int(n, "n", 1)
         prod, last = 1, 1
         pairs = []
@@ -131,7 +151,7 @@ class Factorization(Value):
             check_int(e, "exponent", 1)
             if p <= last:
                 raise ValueError("factor primes must be strictly increasing")
-            if not is_prime(p):
+            if p not in proved and not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             prod *= p**e
             last = p
@@ -187,7 +207,7 @@ def _cyclotomic_pieces(n: int) -> list[tuple[int, int]]:
     return pieces
 
 
-def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
+def _factor_into(m: int, exps: dict[int, int], index: int) -> tuple[int, ...]:
     """Add the prime factorization of m >= 1 to exps, where m divides
     Phi_index(2), or index = 1 for any other m.
 
@@ -206,6 +226,9 @@ def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
     goes to Pollard rho: that is at most the TRIAL_BOUND / 2 candidates an
     odd n has below TRIAL_BOUND.  For index 1 (step 2) that limit is
     TRIAL_BOUND itself.
+
+    Returns the primes that is_prime proved; a prime that rho hands back
+    twice (from p^2) is not tested again.
     """
     twos = (m & -m).bit_length() - 1
     if twos:
@@ -223,20 +246,24 @@ def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
             m //= c
         c += step
     limit = step * TRIAL_BOUND // 2
+    proved: tuple[int, ...] = ()
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if m < c * c or is_prime(m):
-            exps[m] = exps.get(m, 0) + 1
-            continue
-        # m is composite, so the first candidate from c on that divides it
-        # is its least prime, at most sqrt(m).  Rho first runs once c has
-        # reached the limit, so while c moves the stack holds no other
-        # composite that could hide a prime below c.
-        while c < limit and m % c:
-            c += step
-        r = c if c < limit else _pollard_rho(m)
-        stack += (r, m // r)
+        if m >= c * c and m not in proved:
+            if not is_prime(m):
+                # m is composite, so the first candidate from c on that divides
+                # it is its least prime, at most sqrt(m).  Rho first runs once c
+                # has reached the limit, so while c moves the stack holds no
+                # other composite that could hide a prime below c.
+                while c < limit and m % c:
+                    c += step
+                r = c if c < limit else _pollard_rho(m)
+                stack += (r, m // r)
+                continue
+            proved += (m,)
+        exps[m] = exps.get(m, 0) + 1
+    return proved
 
 
 def factorize(n: int) -> Factorization:
@@ -245,13 +272,16 @@ def factorize(n: int) -> Factorization:
     Raises ValueError for an n that is not an int or is < 1, and
     OverflowError above U64_MAX.  n = 2^k -+ 1 is split into its pieces
     (_cyclotomic_pieces); any other n is one piece of index 1.  Each piece
-    goes to _factor_into, with exponents added across pieces.
+    goes to _factor_into, with exponents added across pieces.  The result
+    proves the primes _factor_into did not prove with is_prime, so no prime
+    is proved twice by the same test.
     """
     _check_width(n, 1)
     exps: dict[int, int] = {}
+    proved: tuple[int, ...] = ()
     for index, piece in _cyclotomic_pieces(n):
-        _factor_into(piece, exps, index)
-    return Factorization(n, tuple(sorted(exps.items())))
+        proved += _factor_into(piece, exps, index)
+    return Factorization._proved(n, sorted(exps.items()), proved)
 
 
 def prime_divisors(n: int) -> set[int]:

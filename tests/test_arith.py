@@ -307,6 +307,41 @@ class TestTrialDivisionBeforeRho:
         assert exps == {p: 2, q: 1}
 
 
+# Every 2^k -+ 1 <= U64_MAX, a seeded sample of u64, and the square of a prime
+# that rho hands back twice, 2^31 - 1 above the c^2 bound.
+PROVED_ONCE_INPUTS = [*KNOWN_2K, (2**31 - 1) ** 2, *(random.Random(1180).randrange(1, 2**64) for _ in range(300))]
+
+
+class TestEachPrimeProvedOnce:
+    """_factor_into proves a cofactor of at least c^2 prime with is_prime, and
+    factorize builds its result with Factorization._proved, which runs every
+    check of the public constructor but that one again on those primes."""
+
+    def test_is_prime_never_sees_an_argument_twice(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(arith, "is_prime", lambda n: seen.append(n) or is_prime(n))
+        for n in PROVED_ONCE_INPUTS:
+            seen.clear()
+            factorize(n)
+            assert len(seen) == len(set(seen)), (n, seen)
+
+    def test_the_public_constructor_certifies_every_result(self):
+        # A composite among the primes _factor_into reports proved would raise here.
+        for n in PROVED_ONCE_INPUTS:
+            fac = factorize(n)
+            assert Factorization(fac.n, fac.factors) == fac, n
+
+    def test_the_proved_constructor_keeps_the_other_checks(self):
+        with pytest.raises(ValueError, match="^factors reconstruct 6, expected 10$"):
+            Factorization._proved(10, ((2, 1), (3, 1)), (3,))
+        with pytest.raises(ValueError, match="^factor primes must be strictly increasing$"):
+            Factorization._proved(15, ((5, 1), (3, 1)), (3, 5))
+        with pytest.raises(ValueError, match="^exponent must be an int, got 1.0$"):
+            Factorization._proved(3, ((3, 1.0),), (3,))
+        with pytest.raises(ValueError, match="^9 is not prime$"):
+            Factorization._proved(45, ((5, 1), (9, 1)), (5,))
+
+
 class TestFactorizationType:
     @pytest.mark.parametrize("factors", [[(2, 2), (3, 1)], [[2, 2], [3, 1]]])
     def test_stores_factors_as_tuples(self, factors):

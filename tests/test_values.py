@@ -186,6 +186,7 @@ INT_ARGUMENTS = {
                             (0, "degree must be >= 1, got 0")),
     "is_kn_free": ("clique size", lambda v: is_kn_free(CharGraph([2, 3]), v),
                    (1, "clique size must be >= 2, got 1")),
+    # Complete(True) would render as "KTrue", which does not parse back.
     "Complete": ("n", Complete, (-1, "n must be >= 0, got -1")),
     "Cycle": ("n", Cycle, (2, "n must be >= 3, got 2")),
     "classify_f": ("f", classify_f, (64, "f must be in [2, 63], got 64")),
