@@ -136,8 +136,7 @@ class Factorization(Value):
 
     @classmethod
     def _proved(cls, n: int, factors: Iterable[tuple[int, int]], proved: tuple[int, ...]) -> "Factorization":
-        """The constructor of factorize: every check of __init__, but no
-        Miller-Rabin run on the primes in proved, which is_prime has proved."""
+        """The constructor of factorize; it does not test the primes in proved again."""
         fac = cls.__new__(cls)
         fac._build(n, factors, proved)
         return fac

@@ -336,7 +336,7 @@ class TestEachPrimeProvedOnce:
             Factorization._proved(10, ((2, 1), (3, 1)), (3,))
         with pytest.raises(ValueError, match="^factor primes must be strictly increasing$"):
             Factorization._proved(15, ((5, 1), (3, 1)), (3, 5))
-        with pytest.raises(ValueError, match="^exponent must be an int, got 1.0$"):
+        with pytest.raises(ValueError, match=r"^exponent must be an int, got 1\.0$"):
             Factorization._proved(3, ((3, 1.0),), (3,))
         with pytest.raises(ValueError, match="^9 is not prime$"):
             Factorization._proved(45, ((5, 1), (9, 1)), (5,))
