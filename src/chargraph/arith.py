@@ -10,10 +10,10 @@ as the Cunningham tables do (Brillhart et al., "Factorizations of
 b^n +- 1"), _factor_into trial-divides a piece by Bang's rule (1886), and
 is_prime tests Sinclair's witness set.
 
-Each prime of a factorize result is proved by is_prime once.  A prime found
-by trial division, by Bang's gcd or by the c^2 bound is proved by the
-Factorization constructor; a cofactor that _factor_into proves with is_prime
-is not tested again.
+Each odd prime of a factorize result is proved by is_prime once, at the
+one gate in _factor_into, whichever rule found it; 2 comes from the low
+bits.  factorize builds its result with Factorization._trusted, which checks
+nothing; the public Factorization constructor proves every prime it gets.
 """
 
 from __future__ import annotations
@@ -124,24 +124,14 @@ class Factorization(Value):
     pairs is accepted and stored as that tuple, so a Factorization built
     from lists equals and hashes like the one factorize returns.
 
-    The constructor proves each prime with is_prime.  factorize builds
-    through _proved, which makes every other check but skips the primes
-    that _factor_into has just proved with is_prime; both end in _build.
+    The constructor proves each prime with is_prime.  factorize, whose
+    primes _factor_into has proved already, builds through _trusted, which
+    checks nothing.
     """
 
     __slots__ = ("n", "factors")
 
     def __init__(self, n: int, factors: Iterable[tuple[int, int]]) -> None:
-        self._build(n, factors, ())
-
-    @classmethod
-    def _proved(cls, n: int, factors: Iterable[tuple[int, int]], proved: tuple[int, ...]) -> "Factorization":
-        """The constructor of factorize; it does not test the primes in proved again."""
-        fac = cls.__new__(cls)
-        fac._build(n, factors, proved)
-        return fac
-
-    def _build(self, n: int, factors: Iterable[tuple[int, int]], proved: tuple[int, ...]) -> None:
         check_int(n, "n", 1)
         prod, last = 1, 1
         pairs = []
@@ -150,7 +140,7 @@ class Factorization(Value):
             check_int(e, "exponent", 1)
             if p <= last:
                 raise ValueError("factor primes must be strictly increasing")
-            if p not in proved and not is_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             prod *= p**e
             last = p
@@ -159,6 +149,13 @@ class Factorization(Value):
             raise ValueError(f"factors reconstruct {prod}, expected {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "factors", tuple(pairs))
+
+    @classmethod
+    def _trusted(cls, n: int, factors: tuple[tuple[int, int], ...]) -> "Factorization":
+        """The unchecked constructor of factorize."""
+        fac = cls.__new__(cls)
+        Value.__init__(fac, n, factors)
+        return fac
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -206,7 +203,7 @@ def _cyclotomic_pieces(n: int) -> list[tuple[int, int]]:
     return pieces
 
 
-def _factor_into(m: int, exps: dict[int, int], index: int) -> tuple[int, ...]:
+def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
     """Add the prime factorization of m >= 1 to exps, where m divides
     Phi_index(2), or index = 1 for any other m.
 
@@ -219,50 +216,47 @@ def _factor_into(m: int, exps: dict[int, int], index: int) -> tuple[int, ...]:
     were tried before it.  Every prime left is at least the first candidate
     c not tried, so a cofactor below c^2 is prime.
 
-    Each cofactor of at least c^2 is proved prime or shown composite once.
-    A composite one is trial-divided further, while c < step * TRIAL_BOUND / 2
-    (and c^2 <= m, which holds until c meets its least prime), before it
-    goes to Pollard rho: that is at most the TRIAL_BOUND / 2 candidates an
-    odd n has below TRIAL_BOUND.  For index 1 (step 2) that limit is
-    TRIAL_BOUND itself.
-
-    Returns the primes that is_prime proved; a prime that rho hands back
-    twice (from p^2) is not tested again.
+    Each odd prime is proved here, at one gate: the gcd, every
+    trial-division prime and the cofactor go on one stack, and a number
+    joins exps only if it is there already (a prime of an earlier piece, or
+    p again, from p^e) or is_prime proves it.  So each odd prime is tested
+    once per factorize, and what Bang's rule and the c^2 bound argue is
+    checked again.  A composite is trial-divided further, while
+    c < step * TRIAL_BOUND / 2 (and c^2 <= m, which holds until c meets its
+    least prime), before it goes to Pollard rho: that is at most the
+    TRIAL_BOUND / 2 candidates an odd n has below TRIAL_BOUND.  For index 1
+    (step 2) that limit is TRIAL_BOUND itself.
     """
     twos = (m & -m).bit_length() - 1
     if twos:
         exps[2] = exps.get(2, 0) + twos
         m >>= twos
     g = gcd(m, index)
-    if g > 1:
-        exps[g] = exps.get(g, 0) + 1
-        m //= g
+    stack = [g] if g > 1 else []
+    m //= g
     step = index if index % 2 == 0 else 2 * index
     c = 1 + step
     while c < TRIAL_BOUND and c * c <= m:
         while m % c == 0:
-            exps[c] = exps.get(c, 0) + 1
+            stack.append(c)
             m //= c
         c += step
     limit = step * TRIAL_BOUND // 2
-    proved: tuple[int, ...] = ()
-    stack = [m] if m > 1 else []
+    if m > 1:
+        stack.append(m)
     while stack:
         m = stack.pop()
-        if m >= c * c and m not in proved:
-            if not is_prime(m):
-                # m is composite, so the first candidate from c on that divides
-                # it is its least prime, at most sqrt(m).  Rho first runs once c
-                # has reached the limit, so while c moves the stack holds no
-                # other composite that could hide a prime below c.
-                while c < limit and m % c:
-                    c += step
-                r = c if c < limit else _pollard_rho(m)
-                stack += (r, m // r)
-                continue
-            proved += (m,)
+        if m not in exps and not is_prime(m):
+            # m is composite, so the first candidate from c on that divides
+            # it is its least prime, at most sqrt(m).  Rho first runs once c
+            # has reached the limit, so while c moves the stack holds no
+            # other composite that could hide a prime below c.
+            while c < limit and m % c:
+                c += step
+            r = c if c < limit else _pollard_rho(m)
+            stack += (r, m // r)
+            continue
         exps[m] = exps.get(m, 0) + 1
-    return proved
 
 
 def factorize(n: int) -> Factorization:
@@ -271,16 +265,15 @@ def factorize(n: int) -> Factorization:
     Raises ValueError for an n that is not an int or is < 1, and
     OverflowError above U64_MAX.  n = 2^k -+ 1 is split into its pieces
     (_cyclotomic_pieces); any other n is one piece of index 1.  Each piece
-    goes to _factor_into, with exponents added across pieces.  The result
-    proves the primes _factor_into did not prove with is_prime, so no prime
-    is proved twice by the same test.
+    goes to _factor_into, with exponents added across pieces, which proves
+    each odd prime once with is_prime; so the result is built with
+    Factorization._trusted and is not checked again.
     """
     _check_width(n, 1)
     exps: dict[int, int] = {}
-    proved: tuple[int, ...] = ()
     for index, piece in _cyclotomic_pieces(n):
-        proved += _factor_into(piece, exps, index)
-    return Factorization._proved(n, sorted(exps.items()), proved)
+        _factor_into(piece, exps, index)
+    return Factorization._trusted(n, tuple(sorted(exps.items())))
 
 
 def prime_divisors(n: int) -> set[int]:

@@ -313,33 +313,27 @@ PROVED_ONCE_INPUTS = [*KNOWN_2K, (2**31 - 1) ** 2, *(random.Random(1180).randran
 
 
 class TestEachPrimeProvedOnce:
-    """_factor_into proves a cofactor of at least c^2 prime with is_prime, and
-    factorize builds its result with Factorization._proved, which runs every
-    check of the public constructor but that one again on those primes."""
+    """_factor_into proves each odd prime with is_prime at one gate, the
+    primes of trial division and Bang's gcd too, and factorize builds its
+    result with Factorization._trusted, which checks nothing.  The public
+    constructor certifies every result here instead, as tests/test_graphs.py
+    does for the graph builders."""
 
     def test_is_prime_never_sees_an_argument_twice(self, monkeypatch):
         seen = []
         monkeypatch.setattr(arith, "is_prime", lambda n: seen.append(n) or is_prime(n))
         for n in PROVED_ONCE_INPUTS:
             seen.clear()
-            factorize(n)
+            fac = factorize(n)
             assert len(seen) == len(set(seen)), (n, seen)
+            # No odd prime joins the result unproved, whichever rule found it.
+            assert set(fac.primes) - {2} <= set(seen), (n, seen)
 
     def test_the_public_constructor_certifies_every_result(self):
-        # A composite among the primes _factor_into reports proved would raise here.
+        # A composite or a wrong product in a factorize result would raise here.
         for n in PROVED_ONCE_INPUTS:
             fac = factorize(n)
             assert Factorization(fac.n, fac.factors) == fac, n
-
-    def test_the_proved_constructor_keeps_the_other_checks(self):
-        with pytest.raises(ValueError, match="^factors reconstruct 6, expected 10$"):
-            Factorization._proved(10, ((2, 1), (3, 1)), (3,))
-        with pytest.raises(ValueError, match="^factor primes must be strictly increasing$"):
-            Factorization._proved(15, ((5, 1), (3, 1)), (3, 5))
-        with pytest.raises(ValueError, match=r"^exponent must be an int, got 1\.0$"):
-            Factorization._proved(3, ((3, 1.0),), (3,))
-        with pytest.raises(ValueError, match="^9 is not prime$"):
-            Factorization._proved(45, ((5, 1), (9, 1)), (5,))
 
 
 class TestFactorizationType:
@@ -372,18 +366,12 @@ class TestIntArguments:
     inside.  tests/test_values.py holds the rule's table for every layer."""
 
     @pytest.mark.parametrize("call,args,name,bad", [
-        (is_prime, (2.0,), "n", 2.0),
-        (is_prime, (True,), "n", True),
-        (factorize, (True,), "n", True),
-        (factorize, (12.0,), "n", 12.0),
-        (prime_divisors, (12.0,), "n", 12.0),
         (zsigmondy, (2.0, 3), "base", 2.0),
         (zsigmondy, (2, 3.0), "n", 3.0),
         (Factorization, (12.0, ((2, 2), (3, 1))), "n", 12.0),
         (Factorization, (12, ((2, 2.0), (3, 1))), "exponent", 2.0),
         (Factorization, (2, ((2.0, 1),)), "prime", 2.0),
-    ], ids=["is_prime-float", "is_prime-bool", "factorize-bool", "factorize-float",
-            "prime_divisors-float", "zsigmondy-base", "zsigmondy-n", "factorization-n",
+    ], ids=["zsigmondy-base", "zsigmondy-n", "factorization-n",
             "factorization-exponent", "factorization-prime"])
     def test_non_int_is_a_value_error(self, call, args, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be an int, got {bad!r}$"):
