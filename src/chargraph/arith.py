@@ -5,15 +5,19 @@ prime divisors of base^n - 1.  Everything here is a pure function of its
 arguments, with no table, no cache and no setting: Pollard rho tries its
 parameters in a fixed order, so repeated calls give identical results.
 
-Each rule is stated once, where it runs: _cyclotomic_pieces splits 2^k -+ 1
-as the Cunningham tables do (Brillhart et al., "Factorizations of
-b^n +- 1"), _factor_into trial-divides a piece by Bang's rule (1886), and
-is_prime tests Sinclair's witness set.
+Each rule is stated once, where it runs: _cyclotomic_pieces writes
+2^k -+ 1 as y^m -+ 1, with y = 2^(2^a) and m the odd part of k for the
+plus sign, and splits it over the divisors of m as the Cunningham tables do
+(Brillhart et al., "Factorizations of b^n +- 1"); _factor_into
+trial-divides a piece by Bang's rule (1886), and is_prime tests Sinclair's
+witness set.
 
-Each odd prime of a factorize result is proved by is_prime once, at the
-one gate in _factor_into, whichever rule found it; 2 comes from the low
-bits.  factorize builds its result with Factorization._trusted, which checks
-nothing; the public Factorization constructor proves every prime it gets.
+Each odd prime is proved by is_prime once, at the one gate in _factor_into,
+whichever rule found it; 2 comes from the low bits.  _exponents collects the
+primes of every piece; factorize builds its result from them with
+Factorization._trusted, which checks nothing, and prime_divisors builds no
+Factorization at all.  The public Factorization constructor proves every
+prime it gets.
 """
 
 from __future__ import annotations
@@ -166,34 +170,38 @@ def _cyclotomic_pieces(n: int) -> list[tuple[int, int]]:
     """Pairs (d, piece) of factors > 1 of n whose product is n, split by
     algebra when n = 2^k -+ 1; d is the index of the cyclotomic piece.
 
-    2^k - 1 is the product of Phi_d(2) over d | k, and 2^k + 1 that over
-    d | 2k with d not dividing k; each Phi_d(2) is 2^d - 1 divided exactly
-    by the Phi_e(2) of the proper divisors e of d.  2^(4h+2) + 1 is also
-    (2^(2h+1) - 2^(h+1) + 1)(2^(2h+1) + 2^(h+1) + 1) (Aurifeuille), so each
-    of its pieces is split again by its gcd with the first factor, and both
-    halves keep the d of the piece they split.  Pieces may share a prime (3
-    divides Phi_2(2) and Phi_6(2)).  Any other n, 2 = 2^0 + 1 included, is
-    returned whole, as (1, n).
+    n = y^m -+ 1 with m odd for the plus sign: y = 2 and m = k for 2^k - 1,
+    and y = 2^(2^a), k = 2^a * m for 2^k + 1.  So y^m - 1 is the product of
+    Phi_e(y) = Phi_e(2) over e | m, and y^m + 1 that of
+    Phi_2e(y) = Phi_(2^(a+1) e)(2) over e | m; each piece is y^e -+ 1
+    divided exactly by the pieces of the proper divisors of e.  Only the
+    divisors of m are walked, and the pieces come in increasing d.
+    2^(4h+2) + 1 is also (2^(2h+1) - 2^(h+1) + 1)(2^(2h+1) + 2^(h+1) + 1)
+    (Aurifeuille), so each of its pieces is split again by its gcd with the
+    first factor, and both halves keep the d of the piece they split.
+    Pieces may share a prime (3 divides Phi_2(2) and Phi_6(2)).  Any other n,
+    2 = 2^0 + 1 included, is returned whole, as (1, n).
     """
+    # y = 2^t; the piece of e | m is Phi_(scale * e)(2).
     if n & (n + 1) == 0:  # n = 2^k - 1
-        k = top = n.bit_length()
+        sign, t, m, scale = -1, 1, n.bit_length(), 1
     elif n >= 3 and (n - 1) & (n - 2) == 0:  # n = 2^k + 1
         k = n.bit_length() - 1
-        top = 2 * k
+        t = k & -k  # 2^a
+        sign, m, scale = 1, k // t, 2 * t
     else:
         return [(1, n)]
     phi: dict[int, int] = {}
-    for d in range(1, top + 1):
-        if top % d == 0:
-            v = (1 << d) - 1
-            for e, pe in phi.items():
-                if d % e == 0:
+    for e in range(1, m + 1):
+        if m % e == 0:
+            v = (1 << (t * e)) + sign
+            for e2, pe in phi.items():
+                if e % e2 == 0:
                     v //= pe
-            phi[d] = v
-    # For 2^k + 1 only the d not dividing k count.
-    pieces = [(d, v) for d, v in phi.items() if v > 1 and (top == k or k % d)]
-    if top != k and k % 4 == 2:
-        h = k // 4
+            phi[e] = v
+    pieces = [(scale * e, v) for e, v in phi.items() if v > 1]
+    if sign > 0 and t == 2:  # k = 2m = 4h + 2
+        h = m // 2
         left = (1 << (2 * h + 1)) - (1 << (h + 1)) + 1
         split = []
         for d, v in pieces:
@@ -259,26 +267,31 @@ def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
         exps[m] = exps.get(m, 0) + 1
 
 
-def factorize(n: int) -> Factorization:
-    """Factor 1 <= n <= U64_MAX into primes.
-
-    Raises ValueError for an n that is not an int or is < 1, and
-    OverflowError above U64_MAX.  n = 2^k -+ 1 is split into its pieces
-    (_cyclotomic_pieces); any other n is one piece of index 1.  Each piece
-    goes to _factor_into, with exponents added across pieces, which proves
-    each odd prime once with is_prime; so the result is built with
-    Factorization._trusted and is not checked again.
-    """
+def _exponents(n: int) -> dict[int, int]:
+    """{prime: exponent} of 1 <= n <= U64_MAX: each piece of n goes to
+    _factor_into, with exponents added across pieces."""
     _check_width(n, 1)
     exps: dict[int, int] = {}
     for index, piece in _cyclotomic_pieces(n):
         _factor_into(piece, exps, index)
-    return Factorization._trusted(n, tuple(sorted(exps.items())))
+    return exps
+
+
+def factorize(n: int) -> Factorization:
+    """Factor 1 <= n <= U64_MAX into primes.
+
+    Raises ValueError for an n that is not an int or is < 1, and
+    OverflowError above U64_MAX.  The primes come from _exponents, proved
+    already, so the result is built with Factorization._trusted and is not
+    checked again.
+    """
+    return Factorization._trusted(n, tuple(sorted(_exponents(n).items())))
 
 
 def prime_divisors(n: int) -> set[int]:
-    """The set of primes dividing n (empty for n = 1)."""
-    return set(factorize(n).primes)
+    """The set of primes dividing n (empty for n = 1), with factorize's
+    checks and proofs but no Factorization built."""
+    return set(_exponents(n))
 
 
 def zsigmondy(base: int, n: int) -> int | None:

@@ -13,7 +13,7 @@ from functools import cache
 from itertools import islice
 
 from ._value import Value, _json, check_int
-from .arith import factorize, is_prime, prime_divisors, primes
+from .arith import is_prime, prime_divisors, primes
 from .degrees import graph_psl2, prime_power
 from .graphs import (
     CharGraph,
@@ -197,14 +197,21 @@ def scan_lemma_interest(f_max: int) -> list[ScanHit]:
     hits: list[ScanHit] = []
     for f in range(2, f_max + 1):
         q = 2**f
-        sizes = classify_f(f).sizes
+        report = classify_f(f)
+        sizes, socle = report.sizes, report.socle_graph.vertices
         if sizes[0] + sizes[1] != 3:
             continue
         clause, witness = None, f"no clause fits sizes {sizes}"
         if f == 4:
             clause, witness = "a", "2^4 - 1 = 3 * 5 and 2^4 + 1 = 17"
-        elif is_prime(f) and f >= 5 and is_prime(q - 1):
-            plus = dict(factorize(q + 1).factors)
+        elif is_prime(f) and f >= 5 and q - 1 in socle:
+            # The socle's vertices hold every prime of q -+ 1, so q - 1 is
+            # prime iff it is one, and dividing by them factors q + 1.
+            n, plus = q + 1, {}
+            for p in socle:
+                while n % p == 0:
+                    plus[p] = plus.get(p, 0) + 1
+                    n //= p
             others = sorted(p for p in plus if p != 3)
             if plus.get(3) == 1 and len(others) == 1 and plus[others[0]] % 2 == 1:
                 t, beta = others[0], plus[others[0]]

@@ -1,7 +1,9 @@
 """Independent brute-force implementations used as test oracles.
 
 Everything here is deliberately naive (pure trial division, exhaustive
-permutation search) and shares no code with the package under test.
+permutation search) and shares no code with the package under test;
+pratt_certificates takes its factoring as an argument, and check_pratt
+re-checks what it finds.
 """
 
 from itertools import combinations, permutations
@@ -123,3 +125,49 @@ def brute_isomorphic(a_vertices, a_edges, b_vertices, b_edges) -> bool:
         if all(tuple(sorted((phi[x], phi[y]))) in b_edges for x, y in a_edges):
             return True
     return False
+
+
+# A Lucas-Pratt certificate for an odd prime p is (a, factors): factors are
+# the (r, e) pairs of p - 1, and a has order exactly p - 1 mod p.
+def pratt_certificates(primes, factor) -> dict:
+    """Certificates for each odd prime of primes and, in turn, for every odd
+    prime of each p - 1.  factor(n) gives n's (prime, exponent) pairs; it is
+    not trusted, since check_pratt re-checks everything it returns.  A p with
+    no witness a below 10^4 raises ValueError (a composite p has none)."""
+    certs: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
+    todo = [p for p in primes if p != 2]
+    while todo:
+        p = todo.pop()
+        if p in certs:
+            continue
+        factors = tuple(factor(p - 1))
+        for a in range(2, min(p, 10**4)):
+            if pow(a, p - 1, p) == 1 and all(pow(a, (p - 1) // r, p) != 1 for r, _ in factors):
+                break
+        else:
+            raise ValueError(f"no witness below 10000 for {p}")
+        certs[p] = (a, factors)
+        todo += (r for r, _ in factors if r != 2)
+    return certs
+
+
+def check_pratt(certs: dict) -> bool:
+    """True iff every key p of certs is proved prime by its certificate, by
+    Lucas's theorem: a^(p-1) = 1 and a^((p-1)/r) != 1 mod p for each prime r
+    of p - 1 make a's order p - 1, so every residue below p is a unit.
+
+    No primality test is called: the pairs (r, e) must multiply back to
+    p - 1, and each r must be 2 or a key of certs.  Each r is below p, so by
+    induction over the keys in increasing order every r is prime and the r
+    are all the primes of p - 1."""
+    for p, (a, factors) in certs.items():
+        prod = 1
+        for r, e in factors:
+            if not (r == 2 or r in certs) or e < 1:
+                return False
+            prod *= r**e
+        if p < 3 or prod != p - 1 or pow(a, p - 1, p) != 1:
+            return False
+        if any(pow(a, (p - 1) // r, p) == 1 for r, _ in factors):
+            return False
+    return True

@@ -18,7 +18,14 @@ from chargraph.arith import (
     zsigmondy,
 )
 from conftest import FACTOR_TABLE, run_python
-from oracles import brute_zsigmondy, trial_factorize, trial_is_prime, trial_prime_divisors
+from oracles import (
+    brute_zsigmondy,
+    check_pratt,
+    pratt_certificates,
+    trial_factorize,
+    trial_is_prime,
+    trial_prime_divisors,
+)
 
 
 class TestFactorize:
@@ -309,7 +316,8 @@ class TestTrialDivisionBeforeRho:
 
 # Every 2^k -+ 1 <= U64_MAX, a seeded sample of u64, and the square of a prime
 # that rho hands back twice, 2^31 - 1 above the c^2 bound.
-PROVED_ONCE_INPUTS = [*KNOWN_2K, (2**31 - 1) ** 2, *(random.Random(1180).randrange(1, 2**64) for _ in range(300))]
+_draw = random.Random(1180).randrange
+PROVED_ONCE_INPUTS = [*KNOWN_2K, (2**31 - 1) ** 2, *(_draw(1, 2**64) for _ in range(300))]
 
 
 class TestEachPrimeProvedOnce:
@@ -336,6 +344,35 @@ class TestEachPrimeProvedOnce:
             assert Factorization(fac.n, fac.factors) == fac, n
 
 
+class TestPrattCertificates:
+    """Lucas-Pratt certificates prove the primes of a factorize result
+    without Miller-Rabin: oracles.check_pratt calls no primality test, so
+    factorize may find each p - 1 for the certificate finder."""
+
+    def test_every_prime_of_every_result(self):
+        # Every 2^k -+ 1 <= U64_MAX among them, each split by _cyclotomic_pieces.
+        results = [factorize(n) for n in PROVED_ONCE_INPUTS]
+        primes = {p for fac in results for p in fac.primes}
+        certs = pratt_certificates(primes, lambda n: factorize(n).factors)
+        assert check_pratt(certs)
+        for fac in results:
+            assert math.prod(p**e for p, e in fac.factors) == fac.n
+            assert all(p == 2 or p in certs for p in fac.primes), fac.n
+        # 2 and 736 odd primes, whose certificates need 919 more primes of p - 1.
+        assert (len(primes), len(certs)) == (737, 1655)
+
+    def test_the_checker_rejects_bad_certificates(self):
+        good = pratt_certificates([7], trial_factorize)
+        assert good == {7: (3, ((2, 1), (3, 1))), 3: (2, ((2, 1),))}
+        assert check_pratt(good)
+        assert not check_pratt({**good, 7: (2, ((2, 1), (3, 1)))})  # 2 has order 3 mod 7
+        assert not check_pratt({**good, 7: (3, ((2, 1), (3, 2)))})  # 2 * 3^2 is not 6
+        assert not check_pratt({7: good[7]})  # 3 has no certificate
+        assert not check_pratt({9: (2, ((2, 3),))})  # 2^8 is 4 mod 9
+        with pytest.raises(ValueError, match="^no witness below 10000 for 561$"):
+            pratt_certificates([561], trial_factorize)  # a Carmichael number
+
+
 class TestFactorizationType:
     @pytest.mark.parametrize("factors", [[(2, 2), (3, 1)], [[2, 2], [3, 1]]])
     def test_stores_factors_as_tuples(self, factors):
@@ -358,24 +395,6 @@ class TestFactorizationType:
     def test_rejects_composite_entry(self):
         with pytest.raises(ValueError, match="^4 is not prime$"):
             Factorization(4, ((4, 1),))
-
-
-class TestIntArguments:
-    """Every public entry of arith takes ints only: a bool or a float is a
-    ValueError naming the argument, not an answer or a TypeError from deep
-    inside.  tests/test_values.py holds the rule's table for every layer."""
-
-    @pytest.mark.parametrize("call,args,name,bad", [
-        (zsigmondy, (2.0, 3), "base", 2.0),
-        (zsigmondy, (2, 3.0), "n", 3.0),
-        (Factorization, (12.0, ((2, 2), (3, 1))), "n", 12.0),
-        (Factorization, (12, ((2, 2.0), (3, 1))), "exponent", 2.0),
-        (Factorization, (2, ((2.0, 1),)), "prime", 2.0),
-    ], ids=["zsigmondy-base", "zsigmondy-n", "factorization-n",
-            "factorization-exponent", "factorization-prime"])
-    def test_non_int_is_a_value_error(self, call, args, name, bad):
-        with pytest.raises(ValueError, match=f"^{name} must be an int, got {bad!r}$"):
-            call(*args)
 
 
 class TestPrimeDivisors:
