@@ -1,28 +1,36 @@
 """Exact integer arithmetic on unsigned 64-bit values.
 
 Factorization, prime-divisor sets, deterministic primality, and primitive
-prime divisors of base^n - 1.  Everything here is a pure function of its
-arguments, with no table, no cache and no setting: Pollard rho tries its
-parameters in a fixed order, so repeated calls give identical results.
+prime divisors of base^n - 1.  Every public function here is a pure
+function of its arguments, with no table and no setting: Pollard rho tries
+its parameters in a fixed order, so repeated calls give identical results.
+The one cache, on the pieces of 2^k -+ 1, changes no result.
 
 Each rule is stated once, where it runs: _cyclotomic_pieces writes
 2^k -+ 1 as y^m -+ 1, with y = 2^(2^a) and m the odd part of k for the
 plus sign, and splits it over the divisors of m as the Cunningham tables do
-(Brillhart et al., "Factorizations of b^n +- 1"); _factor_into
-trial-divides a piece by Bang's rule (1886), and is_prime tests Sinclair's
-witness set.
+(Brillhart et al., "Factorizations of b^n +- 1"); _exponents takes out
+the prime of a piece that Bang's rule (1886) exempts, and _factor_into
+trial-divides the rest by that rule; is_prime tests Sinclair's witness set.
 
-Each odd prime is proved by is_prime once, at the one gate in _factor_into,
+Each odd prime is proved by is_prime at the one gate in _factor_into,
 whichever rule found it; 2 comes from the low bits.  _exponents collects the
-primes of every piece; factorize builds its result from them with
-Factorization._trusted, which checks nothing, and prime_divisors builds no
-Factorization at all.  The public Factorization constructor proves every
-prime it gets.
+primes of every piece into a fresh dict.  An n that is no 2^k -+ 1 is one
+piece of index 1 and leaves no state.  The part of a piece of 2^k -+ 1 that
+is prime to its index is factored once per process by _piece_exponents,
+which keeps its pairs: the 127 values 2^k -+ 1 <= U64_MAX have 113 such
+parts, so that cache is bounded by the numbers it can see.  Its primes were
+proved when the part was first factored.  So one factorize on a cold cache
+proves each odd prime once, and a cached part is not proved again.
+factorize builds its result with Factorization._trusted, which checks
+nothing, and prime_divisors builds no Factorization at all.  The public
+Factorization constructor proves every prime it gets.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import cache
 from itertools import count
 from math import gcd
 
@@ -213,23 +221,23 @@ def _cyclotomic_pieces(n: int) -> list[tuple[int, int]]:
 
 def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
     """Add the prime factorization of m >= 1 to exps, where m divides
-    Phi_index(2), or index = 1 for any other m.
+    Phi_index(2) and is prime to index, or index = 1 for any other m.
 
     By Bang's rule, a prime dividing Phi_d(2) either is 1 mod d or is the
-    largest prime of d and divides Phi_d(2) once.  So gcd(m, index) is 1 or
-    that prime, and every other odd prime of m is 1 mod step, where step is
-    index for even index and 2 * index for odd index.  Trial division tries
+    largest prime of d and divides Phi_d(2) once; _exponents takes that
+    prime out.  So every odd prime of m is 1 mod step, where step is index
+    for even index and 2 * index for odd index.  Trial division tries
     only the candidates c = 1 + step, 1 + 2 * step, ... below TRIAL_BOUND
     while c^2 <= m; a composite candidate never divides m, since its primes
     were tried before it.  Every prime left is at least the first candidate
     c not tried, so a cofactor below c^2 is prime.
 
-    Each odd prime is proved here, at one gate: the gcd, every
-    trial-division prime and the cofactor go on one stack, and a number
-    joins exps only if it is there already (a prime of an earlier piece, or
-    p again, from p^e) or is_prime proves it.  So each odd prime is tested
-    once per factorize, and what Bang's rule and the c^2 bound argue is
-    checked again.  A composite is trial-divided further, while
+    Each odd prime is proved here, at one gate: every trial-division prime
+    and the cofactor go on one stack, and a number joins exps only if it is
+    there already (p again, from p^e, or for _exponents a prime of an
+    earlier piece) or is_prime proves it.  So each odd prime is tested once
+    per call, and what Bang's rule and the c^2 bound argue is checked
+    again.  A composite is trial-divided further, while
     c < step * TRIAL_BOUND / 2 (and c^2 <= m, which holds until c meets its
     least prime), before it goes to Pollard rho: that is at most the
     TRIAL_BOUND / 2 candidates an odd n has below TRIAL_BOUND.  For index 1
@@ -239,9 +247,7 @@ def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
     if twos:
         exps[2] = exps.get(2, 0) + twos
         m >>= twos
-    g = gcd(m, index)
-    stack = [g] if g > 1 else []
-    m //= g
+    stack = []
     step = index if index % 2 == 0 else 2 * index
     c = 1 + step
     while c < TRIAL_BOUND and c * c <= m:
@@ -267,13 +273,37 @@ def _factor_into(m: int, exps: dict[int, int], index: int) -> None:
         exps[m] = exps.get(m, 0) + 1
 
 
+@cache
+def _piece_exponents(index: int, part: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of part, a part of Phi_index(2) prime to
+    index > 1, as a tuple, so no caller can change the cached value."""
+    exps: dict[int, int] = {}
+    _factor_into(part, exps, index)
+    return tuple(exps.items())
+
+
 def _exponents(n: int) -> dict[int, int]:
-    """{prime: exponent} of 1 <= n <= U64_MAX: each piece of n goes to
-    _factor_into, with exponents added across pieces."""
+    """{prime: exponent} of 1 <= n <= U64_MAX, in a fresh dict.
+
+    An n that is no 2^k -+ 1 goes to _factor_into whole, as index 1.  A
+    piece of index > 1 is split into g = gcd(piece, index), 1 or the prime
+    p of index that Bang's rule exempts, and the part prime to index, whose
+    pairs come from _piece_exponents.  p also divides the piece of index
+    ord_p(2), a proper divisor of index, so the pieces, which come in
+    increasing index, have put p into exps before g reaches the gate.
+    Exponents are added across pieces: 3 divides Phi_2(2) and Phi_6(2).
+    """
     _check_width(n, 1)
     exps: dict[int, int] = {}
     for index, piece in _cyclotomic_pieces(n):
-        _factor_into(piece, exps, index)
+        if index == 1:
+            _factor_into(piece, exps, 1)
+            continue
+        g = gcd(piece, index)
+        if g > 1:
+            _factor_into(g, exps, 1)
+        for p, e in _piece_exponents(index, piece // g):
+            exps[p] = exps.get(p, 0) + e
     return exps
 
 
@@ -283,7 +313,9 @@ def factorize(n: int) -> Factorization:
     Raises ValueError for an n that is not an int or is < 1, and
     OverflowError above U64_MAX.  The primes come from _exponents, proved
     already, so the result is built with Factorization._trusted and is not
-    checked again.
+    checked again.  The cyclotomic pieces of 2^k -+ 1 recur across k, so
+    the pairs of each are kept once factored, at most 113 parts in all; any
+    other n is factored whole and leaves no state.
     """
     return Factorization._trusted(n, tuple(sorted(_exponents(n).items())))
 

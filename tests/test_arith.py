@@ -12,6 +12,7 @@ from chargraph.arith import (
     Factorization,
     _cyclotomic_pieces,
     _factor_into,
+    _piece_exponents,
     factorize,
     is_prime,
     prime_divisors,
@@ -194,9 +195,9 @@ EMITTED_INDICES = sorted({d for n in SPLIT_2K for d, _ in _cyclotomic_pieces(n)}
 
 class TestResidueRule:
     """Bang's rule: a prime dividing Phi_d(2) is 1 mod d, or it is the
-    largest prime of d and divides Phi_d(2) once.  _factor_into trial-divides
-    a piece of index d only by candidates 1 mod d (mod 2d for odd d) after
-    taking out gcd(piece, d), so it rests on this rule."""
+    largest prime of d and divides Phi_d(2) once.  _exponents takes out
+    gcd(piece, d), and _factor_into trial-divides the rest only by candidates
+    1 mod d (mod 2d for odd d), so both rest on this rule."""
 
     def test_every_emitted_index_obeys_the_rule(self):
         sympy = pytest.importorskip("sympy")
@@ -228,11 +229,21 @@ class TestResidueRule:
         assert factorize(n).factors == tuple(trial_factorize(n))
         pieces = dict(_cyclotomic_pieces(n))
         for d, p in intrinsic.items():
-            assert pieces[d] % p == 0 and p % d != 1
+            assert math.gcd(pieces[d], d) == p and p % d != 1
             exps: dict[int, int] = {}
-            _factor_into(pieces[d], exps, d)
-            assert exps == dict(trial_factorize(pieces[d])), d
-            assert exps[p] == 1
+            _factor_into(pieces[d] // p, exps, d)
+            assert exps == dict(trial_factorize(pieces[d] // p)), d
+            assert p not in exps  # p divides Phi_d(2) once
+
+    def test_exempt_prime_divides_an_earlier_piece(self):
+        # So _exponents finds it in exps already, proved or cached with the
+        # part of a smaller index.
+        for n in SPLIT_2K:
+            pieces = _cyclotomic_pieces(n)
+            for i, (d, v) in enumerate(pieces):
+                p = math.gcd(v, d)
+                if p > 1:
+                    assert any(e < d and w % p == 0 for e, w in pieces[:i]), (n, d)
 
 
 class TestIndexOneNearTheBound:
@@ -290,6 +301,7 @@ class TestTrialDivisionBeforeRho:
             for f in range(2, 64):
                 factorize(2**f - 1)
                 factorize(2**f + 1)
+        _piece_exponents.cache_clear()
         # Trial division below TRIAL_BOUND alone leaves 22 cofactors to rho.
         assert self.rho_inputs(monkeypatch, run) == [
             858001 * 308761441,  # a piece of 2^52 + 1
@@ -297,6 +309,8 @@ class TestTrialDivisionBeforeRho:
             2**59 - 1,
             92737 * 649657,  # a piece of 2^63 - 1
         ]
+        # Each piece is factored once per process.
+        assert self.rho_inputs(monkeypatch, run) == []
 
     def test_other_n_go_to_rho_at_the_bound(self, monkeypatch):
         p, q = PRIMES_ABOVE_BOUND[:2]
@@ -331,17 +345,86 @@ class TestEachPrimeProvedOnce:
         seen = []
         monkeypatch.setattr(arith, "is_prime", lambda n: seen.append(n) or is_prime(n))
         for n in PROVED_ONCE_INPUTS:
+            _piece_exponents.cache_clear()  # as in a fresh process
             seen.clear()
             fac = factorize(n)
             assert len(seen) == len(set(seen)), (n, seen)
             # No odd prime joins the result unproved, whichever rule found it.
             assert set(fac.primes) - {2} <= set(seen), (n, seen)
+        # Each piece is proved once per process, so once every 2^k -+ 1 is
+        # factored, factoring them again proves nothing.
+        for n in KNOWN_2K:
+            factorize(n)
+        seen.clear()
+        for n in KNOWN_2K:
+            assert factorize(n).factors == KNOWN_2K[n]
+        assert seen == []
 
     def test_the_public_constructor_certifies_every_result(self):
         # A composite or a wrong product in a factorize result would raise here.
         for n in PROVED_ONCE_INPUTS:
             fac = factorize(n)
             assert Factorization(fac.n, fac.factors) == fac, n
+
+
+# The key of each part _exponents sends to _piece_exponents: a piece of
+# 2^k -+ 1 without the prime its index exempts from Bang's rule.
+PIECE_KEYS = {(d, v // math.gcd(v, d)) for n in SPLIT_2K for d, v in _cyclotomic_pieces(n)}
+
+
+class TestPieceCache:
+    """_piece_exponents keeps the pairs of each part of a piece of 2^k -+ 1,
+    so the cache holds at most the parts of the values that fit in u64."""
+
+    def test_bounded_by_the_parts_of_two_power_plus_minus_one(self):
+        _piece_exponents.cache_clear()
+        for n in KNOWN_2K:
+            factorize(n)
+        # 114 (index, piece) pairs: Phi_20(2) = 5 * 41 and the Aurifeuillean
+        # half 41 of 2^10 + 1 share their part, and Phi_6(2) = 3 and the half
+        # 5 of 2^10 + 1 leave the part 1.
+        assert len({(d, v) for n in SPLIT_2K for d, v in _cyclotomic_pieces(n)}) == 114
+        assert len(PIECE_KEYS) == 113 and min(d for d, _ in PIECE_KEYS) > 1
+        info = _piece_exponents.cache_info()
+        assert info.currsize == len(PIECE_KEYS)
+        # Every key is cached already: looking each one up adds no entry.
+        for d, part in PIECE_KEYS:
+            _piece_exponents(d, part)
+        assert _piece_exponents.cache_info().misses == info.misses
+        assert _piece_exponents.cache_info().currsize == info.currsize
+
+    def test_index_one_inputs_leave_no_state(self):
+        from chargraph.classify import scan_lemma_oddfour
+
+        for n in KNOWN_2K:
+            factorize(n)
+        before = _piece_exponents.cache_info()
+        draw = random.Random(1909).randrange
+        for n in (draw(1, 2**64) for _ in range(300)):
+            factorize(n)
+        # The scan also factors the odd q = 2^k -+ 1 it meets, from cache.
+        scan_lemma_oddfour(10**4)
+        after = _piece_exponents.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+    def test_cold_and_warm_results_match_the_table(self):
+        for n, factors in KNOWN_2K.items():
+            _piece_exponents.cache_clear()
+            assert factorize(n).factors == factors, n
+        for n in KNOWN_2K:
+            factorize(n)
+        for n, factors in KNOWN_2K.items():
+            assert factorize(n).factors == factors, n
+            assert prime_divisors(n) == {p for p, _ in factors}, n
+
+    def test_a_cached_part_holds_its_own_exponents(self):
+        # 3 divides Phi_2(2) and Phi_6(2): its exponent is added across
+        # pieces in each call, never into what the cache holds.
+        _piece_exponents.cache_clear()
+        assert factorize(2**12 - 1).factors == ((3, 2), (5, 1), (7, 1), (13, 1))
+        assert factorize(2**12 - 1).factors == ((3, 2), (5, 1), (7, 1), (13, 1))
+        assert factorize(2**6 - 1).factors == ((3, 2), (7, 1))
+        assert _piece_exponents(2, 3) == ((3, 1),)
 
 
 class TestPrattCertificates:
